@@ -22,7 +22,7 @@
 #include "optim/optim.h"
 #include "runtime/shm_cluster.h"
 #include "serve/frozen.h"
-#include "serve/server.h"
+#include "serve/fleet.h"
 
 namespace {
 
@@ -183,30 +183,37 @@ void serve_retry_table() {
                         "recoveries", "s"});
   for (const Scenario& sc : scenarios) {
     pf::metrics::reset_fault_stats();
-    pf::serve::ServerConfig cfg;
+    pf::serve::FleetConfig cfg;
     cfg.workers = 2;
-    cfg.batcher.max_batch = 8;
-    cfg.batcher.deadline_ms = 0.5;
     if (sc.drop_p > 0) {
       cfg.fault = pf::fault::Plan(21);
       cfg.fault.drop_requests(sc.drop_p);
     }
-    pf::serve::Server server(frozen, cfg);
-    server.start();
+    pf::serve::Fleet fleet(cfg);
+    pf::serve::FleetModelConfig mc;
+    mc.name = frozen.name();
+    mc.factory = [&frozen] {
+      return std::shared_ptr<pf::serve::Engine>(std::shared_ptr<void>{},
+                                                &frozen);
+    };
+    mc.batcher.max_batch = 8;
+    mc.batcher.deadline_ms = 0.5;
+    fleet.add_model(std::move(mc));
+    fleet.start();
     pf::serve::ClosedLoopConfig lg;
     lg.clients = 4;
     lg.requests_per_client = 32;
     lg.max_attempts = sc.max_attempts;
     pf::metrics::Timer wall;
     const int64_t done = pf::serve::run_closed_loop(
-        server,
+        fleet, 0,
         [](uint64_t id) {
           pf::Rng r(id + 500);
           return pf::serve::make_request(
               id, r.randn(pf::Shape{3, kFaultHw, kFaultHw}));
         },
         lg);
-    server.stop();
+    fleet.stop();
     const pf::fault::FaultStats s = pf::metrics::fault_stats();
     t.add_row({sc.name,
                pf::metrics::fmt_int(done) + "/128",

@@ -2,7 +2,7 @@
 // through the whole serving stack (DESIGN.md §14).
 //
 //  1. Single-model SLO table: vanilla vs SVD-warm-started hybrid ResNet-18
-//     through the batched server under identical closed-loop load (the
+//     through a one-model fleet under identical closed-loop load (the
 //     original Tables 4/14 restatement).
 //  2. Quantization gate: post-training int8 on the hybrid must pass the
 //     accuracy gate (eval-accuracy drop <= 0.5 points vs fp32).
@@ -34,7 +34,6 @@
 #include "runtime/buffer_pool.h"
 #include "runtime/thread_pool.h"
 #include "serve/fleet.h"
-#include "serve/server.h"
 
 namespace {
 
@@ -86,42 +85,52 @@ pf::serve::RequestFactory vision_requests(uint64_t salt) {
   };
 }
 
+// Serves `engine` alone through a one-model, two-worker fleet, driving it
+// with `load(fleet, model)`; returns the model's report.
+template <typename Load>
+pf::metrics::ServeReport drive_solo(pf::serve::Engine& engine,
+                                    double deadline_ms, Load load) {
+  pf::metrics::FleetStats stats;
+  stats.add_model(engine.name());
+  stats.begin();
+  pf::serve::FleetConfig cfg;
+  cfg.workers = 2;
+  pf::serve::Fleet fleet(cfg, &stats);
+  pf::serve::FleetModelConfig mc;
+  mc.name = engine.name();
+  mc.factory = [&engine] {
+    return std::shared_ptr<pf::serve::Engine>(std::shared_ptr<void>{},
+                                              &engine);
+  };
+  mc.batcher.max_batch = 8;
+  mc.batcher.deadline_ms = deadline_ms;
+  fleet.add_model(std::move(mc));
+  fleet.start();
+  load(fleet, 0);
+  fleet.stop();
+  return stats.report().models[0];
+}
+
 // Serve `engine` alone under saturating closed-loop load.
 pf::metrics::ServeReport drive_closed(pf::serve::Engine& engine,
                                       double deadline_ms) {
-  pf::serve::ServerConfig cfg;
-  cfg.workers = 2;
-  cfg.batcher.max_batch = 8;
-  cfg.batcher.deadline_ms = deadline_ms;
-  pf::metrics::ServeStats stats;
-  stats.begin();
-  pf::serve::Server server(engine, cfg, &stats);
-  server.start();
-  pf::serve::ClosedLoopConfig load;
-  load.clients = g_smoke ? 3 : 6;
-  load.requests_per_client = g_smoke ? 12 : 48;
-  run_closed_loop(server, vision_requests(0), load);
-  server.stop();
-  return stats.report();
+  return drive_solo(engine, deadline_ms, [](pf::serve::Fleet& f, int m) {
+    pf::serve::ClosedLoopConfig load;
+    load.clients = g_smoke ? 3 : 6;
+    load.requests_per_client = g_smoke ? 12 : 48;
+    run_closed_loop(f, m, vision_requests(0), load);
+  });
 }
 
 // Single-model open-loop baseline at the same rate the fleet will offer.
 pf::metrics::ServeReport drive_solo_open(pf::serve::Engine& engine,
                                          double rate_rps, int total) {
-  pf::serve::ServerConfig cfg;
-  cfg.workers = 2;
-  cfg.batcher.max_batch = 8;
-  cfg.batcher.deadline_ms = 2.0;
-  pf::metrics::ServeStats stats;
-  stats.begin();
-  pf::serve::Server server(engine, cfg, &stats);
-  server.start();
-  pf::serve::OpenLoopConfig load;
-  load.rate_rps = rate_rps;
-  load.total_requests = total;
-  run_open_loop(server, vision_requests(1), load);
-  server.stop();
-  return stats.report();
+  return drive_solo(engine, 2.0, [&](pf::serve::Fleet& f, int m) {
+    pf::serve::OpenLoopConfig load;
+    load.rate_rps = rate_rps;
+    load.total_requests = total;
+    run_open_loop(f, m, vision_requests(1), load);
+  });
 }
 
 }  // namespace
@@ -339,8 +348,8 @@ int main(int argc, char** argv) {
   classes.push_back({"standard", {50.0, 1.0}, r0 * 0.75, base_factory});
   classes.push_back({"batch", {200.0, 0.5}, r0 * 0.5, tenant_delta_factory});
 
-  // Solo baselines: each engine alone on an identical 2-worker server at
-  // the same average rate the fleet sees.
+  // Solo baselines: each engine alone on an identical 2-worker one-model
+  // fleet at the same average rate the mixed fleet sees.
   std::vector<pf::metrics::ServeReport> solo;
   for (ClassDef& c : classes) {
     auto engine = c.factory();

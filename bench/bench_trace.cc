@@ -9,7 +9,7 @@
 // artifacts the issue asks for: pf_trace_train.json (full Algorithm 1 run
 // with warm-up -> SVD -> fine-tune plus one shm data-parallel epoch, so
 // pool dispatch, kernels, reduce, and SVD spans share one timeline) and
-// pf_trace_serve.json (batched serving via ServerConfig::trace_path), and
+// pf_trace_serve.json (batched serving via FleetConfig::trace_path), and
 // prints the ASCII flame summary for the training timeline.
 #include "common.h"
 
@@ -22,7 +22,7 @@
 #include "runtime/shm_cluster.h"
 #include "runtime/thread_pool.h"
 #include "serve/frozen.h"
-#include "serve/server.h"
+#include "serve/fleet.h"
 #include "trace/trace.h"
 
 using namespace bench;
@@ -115,16 +115,22 @@ int main() {
   std::printf("recording-tracer A/B on the same run: %.3fs -> %.3fs "
               "(%+.1f%%)\n", secs_off, secs_on, ab_pct);
 
-  // ---- 4. Serving timeline via ServerConfig::trace_path. ----
+  // ---- 4. Serving timeline via FleetConfig::trace_path. ----
   Rng rng(7);
   serve::FrozenModel frozen(make_resnet18(0.125, 2)(rng), "bench-trace");
   frozen.prime(Shape{3, 16, 16}, 8);
-  serve::ServerConfig sv;
+  serve::FleetConfig sv;
   sv.workers = 2;
-  sv.batcher.max_batch = 8;
   sv.trace_path = "pf_trace_serve.json";
-  serve::Server server(frozen, sv);
-  server.start();
+  serve::Fleet fleet(sv);
+  serve::FleetModelConfig mc;
+  mc.name = frozen.name();
+  mc.factory = [&frozen] {
+    return std::shared_ptr<serve::Engine>(std::shared_ptr<void>{}, &frozen);
+  };
+  mc.batcher.max_batch = 8;
+  fleet.add_model(std::move(mc));
+  fleet.start();
   std::vector<serve::RequestPtr> reqs;
   std::vector<std::future<void>> done;
   for (int i = 0; i < 32; ++i) {
@@ -132,10 +138,10 @@ int main() {
     reqs.push_back(serve::make_request(static_cast<uint64_t>(i),
                                        in.randn(Shape{3, 16, 16})));
     done.push_back(reqs.back()->done.get_future());
-    server.submit(reqs.back());
+    fleet.submit(0, reqs.back());
   }
   for (std::future<void>& f : done) f.wait();
-  server.stop();
+  fleet.stop();
   std::printf("[trace] serve timeline: 32 requests, exported "
               "pf_trace_serve.json (serve.queue / serve.flush / "
               "serve.forward / serve.reply per batch)\n");

@@ -5,10 +5,11 @@
 // the end does not scale to open-loop runs. `Reservoir` keeps a fixed-size
 // uniform sample of the latency stream (Vitter's Algorithm R, deterministic
 // given its seed and the insertion order), so quantiles cost O(capacity)
-// memory no matter how long the run. `ServeStats` aggregates the full
+// memory no matter how long the run. `ServeStats` aggregates one model's
 // serving picture -- throughput, admission rejects, queue depth, batch-size
-// histogram, latency quantiles -- behind one mutex; the serve workers call
-// the record_* hooks, the load generator snapshots a ServeReport at the end.
+// histogram, latency quantiles -- behind one mutex. `FleetStats` keeps one
+// ServeStats per model plus an aggregate; the fleet workers call its
+// record_* hooks, and callers snapshot a FleetReport at the end.
 #pragma once
 
 #include <cstdint>
@@ -66,7 +67,7 @@ struct ServeReport {
   std::string summary() const;
 };
 
-// Thread-safe accumulator for one serving run.
+// Thread-safe accumulator for one model's (or the fleet total's) stream.
 class ServeStats {
  public:
   explicit ServeStats(int64_t reservoir_capacity = 4096);

@@ -1,9 +1,5 @@
 #include "serve/batcher.h"
 
-#include <algorithm>
-
-#include "trace/trace.h"
-
 namespace pf::serve {
 
 RequestPtr make_request(uint64_t id, Tensor input) {
@@ -18,92 +14,6 @@ RequestPtr make_request(uint64_t id, std::vector<int64_t> tokens) {
   r->id = id;
   r->tokens = std::move(tokens);
   return r;
-}
-
-Batcher::Batcher(const BatcherConfig& cfg) : cfg_(cfg) {
-  if (cfg_.max_batch < 1) cfg_.max_batch = 1;
-  if (cfg_.max_depth < 1) cfg_.max_depth = 1;
-  if (cfg_.deadline_ms < 0) cfg_.deadline_ms = 0;
-}
-
-bool Batcher::submit(const RequestPtr& r) {
-  {
-    std::lock_guard<std::mutex> lk(m_);
-    if (shutdown_ || static_cast<int64_t>(q_.size()) >= cfg_.max_depth)
-      return false;
-    r->t_submit = std::chrono::steady_clock::now();
-    q_.push_back(r);
-  }
-  // notify_all, not notify_one: one worker may be parked in the
-  // wait-for-peers loop below while another is idle; both must reassess.
-  cv_.notify_all();
-  return true;
-}
-
-std::vector<RequestPtr> Batcher::next_batch() {
-  std::unique_lock<std::mutex> lk(m_);
-  for (;;) {
-    cv_.wait(lk, [&] { return shutdown_ || !q_.empty(); });
-    if (q_.empty()) return {};  // shutdown and fully drained
-    // Flush span: from first seeing work to handing the batch out. This is
-    // the batching delay (waiting for peers / the deadline), as opposed to
-    // idle time parked on an empty queue, which records no span.
-    const std::uint64_t t_flush = trace::enabled() ? trace::now_ns() : 0;
-
-    // The batch's deadline belongs to the *oldest* request: it bounds how
-    // long that request waits for peers, not how long the batch builds.
-    // Re-armed from the CURRENT front on every pass: another worker can pop
-    // the request a deadline was computed from, and a deadline anchored to
-    // a departed (older) request would flush the new front early --
-    // harmless for the latency bound, but it shrinks batches under
-    // multi-worker contention. With deadline_ms == 0 the armed deadline is
-    // the front's own submit time, which has always passed, so the loop
-    // degenerates to greedy "take whatever is there".
-    const auto front_deadline = [&] {
-      return q_.front()->t_submit +
-             std::chrono::duration_cast<std::chrono::steady_clock::duration>(
-                 std::chrono::duration<double, std::milli>(cfg_.deadline_ms));
-    };
-    while (static_cast<int64_t>(q_.size()) < cfg_.max_batch && !shutdown_) {
-      if (cv_.wait_until(lk, front_deadline()) == std::cv_status::timeout) {
-        if (q_.empty()) break;  // another worker took everything; reassess
-        // Only flush if the request now at the front has really expired;
-        // a timeout against a stale anchor re-arms and keeps waiting.
-        if (std::chrono::steady_clock::now() >= front_deadline()) break;
-      }
-      if (q_.empty()) break;  // spurious/steal wakeup with nothing left
-    }
-    if (q_.empty()) continue;
-
-    const int64_t n =
-        std::min<int64_t>(cfg_.max_batch, static_cast<int64_t>(q_.size()));
-    std::vector<RequestPtr> batch;
-    batch.reserve(static_cast<size_t>(n));
-    for (int64_t i = 0; i < n; ++i) {
-      batch.push_back(std::move(q_.front()));
-      q_.pop_front();
-    }
-    trace::emit("serve.flush", t_flush, trace::now_ns(), n);
-    return batch;
-  }
-}
-
-void Batcher::shutdown() {
-  {
-    std::lock_guard<std::mutex> lk(m_);
-    shutdown_ = true;
-  }
-  cv_.notify_all();
-}
-
-int64_t Batcher::depth() const {
-  std::lock_guard<std::mutex> lk(m_);
-  return static_cast<int64_t>(q_.size());
-}
-
-bool Batcher::accepting() const {
-  std::lock_guard<std::mutex> lk(m_);
-  return !shutdown_;
 }
 
 }  // namespace pf::serve

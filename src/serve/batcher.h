@@ -1,9 +1,10 @@
-// Dynamic batching queue for the inference server.
+// Serving request and per-model flush configuration.
 //
 // Pufferfish's serving win is a *compute* win, and compute on a CPU (or any
 // accelerator) is only cheap in batches -- a server that forwards every
 // request alone leaves most of the factorized model's speedup on the table.
-// The Batcher implements the standard dynamic-batching contract:
+// BatcherConfig states the standard dynamic-batching contract that
+// serve::Fleet enforces per model:
 //
 //  * flush on FULLNESS: as soon as max_batch requests are queued, a worker
 //    gets a full batch immediately;
@@ -14,19 +15,12 @@
 //  * BACKPRESSURE: the queue depth is bounded; submissions beyond max_depth
 //    are rejected at admission (load shedding) instead of growing an
 //    unbounded queue whose tail latency is unbounded too.
-//
-// Thread-safety: any number of submitting threads and any number of worker
-// threads calling next_batch() concurrently; a request is handed to exactly
-// one worker.
 #pragma once
 
 #include <chrono>
-#include <condition_variable>
 #include <cstdint>
-#include <deque>
 #include <future>
 #include <memory>
-#include <mutex>
 #include <vector>
 
 #include "tensor/tensor.h"
@@ -35,7 +29,7 @@ namespace pf::serve {
 
 // One inference request. Exactly one of `input` (vision engines: one sample,
 // e.g. (C, H, W)) or `tokens` (LM engines: a fixed-length prefix) is set.
-// The server writes `output` (the logits row for this request) and then
+// The fleet writes `output` (the logits row for this request) and then
 // fulfils `done`; clients wait on the future and read `output`.
 struct Request {
   uint64_t id = 0;
@@ -47,9 +41,9 @@ struct Request {
   int attempt = 0;
 
   Tensor output;
-  // Set by the server when an injected fault dropped this request instead
+  // Set by the fleet when an injected fault dropped this request instead
   // of serving it; `done` is still fulfilled so clients never hang. Check
-  // after waiting (see submit_with_retry in serve/server.h).
+  // after waiting (see submit_with_retry in serve/fleet.h).
   bool failed = false;
   std::promise<void> done;
   std::chrono::steady_clock::time_point t_submit{};
@@ -63,34 +57,6 @@ struct BatcherConfig {
   int64_t max_batch = 8;    // flush as soon as this many are queued
   double deadline_ms = 2.0; // max time the oldest request waits for peers
   int64_t max_depth = 256;  // admission bound; submissions beyond it reject
-};
-
-class Batcher {
- public:
-  explicit Batcher(const BatcherConfig& cfg);
-
-  // Stamps r->t_submit and enqueues. Returns false (without queuing) when
-  // the queue is at max_depth or the batcher is shut down.
-  bool submit(const RequestPtr& r);
-
-  // Blocks until a batch is ready under the flush rules above. After
-  // shutdown() drains the queue, returns an empty vector -- the worker's
-  // signal to exit.
-  std::vector<RequestPtr> next_batch();
-
-  // Stops admission and wakes all workers. Queued requests are still
-  // handed out (drain semantics) before workers see the empty vector.
-  void shutdown();
-
-  int64_t depth() const;
-  bool accepting() const;
-
- private:
-  BatcherConfig cfg_;
-  mutable std::mutex m_;
-  std::condition_variable cv_;
-  std::deque<RequestPtr> q_;
-  bool shutdown_ = false;
 };
 
 }  // namespace pf::serve

@@ -36,8 +36,8 @@
 
 namespace pf::serve {
 
-// What the Server drives: anything that can forward a batch of requests.
-// Implementations write reqs[i]->output; the Server fulfils the promises
+// What the Fleet drives: anything that can forward a batch of requests.
+// Implementations write reqs[i]->output; the Fleet fulfils the promises
 // (after stamping latency) so engines stay oblivious to queueing.
 class Engine {
  public:

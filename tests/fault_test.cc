@@ -11,6 +11,7 @@
 #include <cstring>
 #include <future>
 #include <memory>
+#include <thread>
 #include <utility>
 #include <vector>
 
@@ -19,7 +20,7 @@
 #include "models/resnet.h"
 #include "runtime/shm_cluster.h"
 #include "serve/frozen.h"
-#include "serve/server.h"
+#include "serve/fleet.h"
 
 namespace pf {
 namespace {
@@ -256,32 +257,46 @@ std::unique_ptr<nn::UnaryModule> tiny_resnet(uint64_t seed) {
   return std::make_unique<models::ResNet18Cifar>(cfg, rng);
 }
 
+// A one-entry model config over a frozen engine the test owns.
+serve::FleetModelConfig borrowed(serve::Engine& e, int64_t max_batch,
+                                 double deadline_ms) {
+  serve::FleetModelConfig mc;
+  mc.name = e.name();
+  mc.factory = [&e] {
+    return std::shared_ptr<serve::Engine>(std::shared_ptr<void>{}, &e);
+  };
+  mc.batcher.max_batch = max_batch;
+  mc.batcher.deadline_ms = deadline_ms;
+  return mc;
+}
+
+serve::RequestFactory random_requests(uint64_t salt) {
+  return [salt](uint64_t id) {
+    Rng rng(id + salt);
+    return serve::make_request(id, rng.randn(Shape{3, 8, 8}));
+  };
+}
+
 TEST(Fault, ServeDropsAreRetriedToCompletion) {
   serve::FrozenModel frozen(tiny_resnet(6), "fault-serve");
   frozen.prime(Shape{3, 8, 8}, 4);
 
   metrics::reset_fault_stats();
-  serve::ServerConfig cfg;
+  serve::FleetConfig cfg;
   cfg.workers = 2;
-  cfg.batcher.max_batch = 4;
-  cfg.batcher.deadline_ms = 0.5;
   cfg.fault = fault::Plan(21);
   cfg.fault.drop_requests(0.4);
-  serve::Server server(frozen, cfg);
-  server.start();
+  serve::Fleet fleet(cfg);
+  fleet.add_model(borrowed(frozen, 4, 0.5));
+  fleet.start();
 
   serve::ClosedLoopConfig lg;
   lg.clients = 3;
   lg.requests_per_client = 8;
   lg.max_attempts = 16;  // enough that P(all dropped) is negligible
-  const int64_t done = serve::run_closed_loop(
-      server,
-      [](uint64_t id) {
-        Rng rng(id + 100);
-        return serve::make_request(id, rng.randn(Shape{3, 8, 8}));
-      },
-      lg);
-  server.stop();
+  const int64_t done =
+      serve::run_closed_loop(fleet, 0, random_requests(100), lg);
+  fleet.stop();
 
   EXPECT_EQ(done, 24);  // every request eventually served
   const fault::FaultStats s = metrics::fault_stats();
@@ -296,36 +311,84 @@ TEST(Fault, ServeDroppedRequestFailsFastWithoutRetry) {
   frozen.prime(Shape{3, 8, 8}, 2);
 
   metrics::reset_fault_stats();
-  serve::ServerConfig cfg;
+  serve::FleetConfig cfg;
   cfg.workers = 1;
-  cfg.batcher.max_batch = 2;
-  cfg.batcher.deadline_ms = 0;
   cfg.fault = fault::Plan(9);
   cfg.fault.drop_requests(1.0);  // every attempt dropped
-  serve::Server server(frozen, cfg);
-  server.start();
+  serve::Fleet fleet(cfg);
+  fleet.add_model(borrowed(frozen, 2, 0));
+  fleet.start();
 
   Rng rng(1);
   serve::RequestPtr r = serve::make_request(0, rng.randn(Shape{3, 8, 8}));
   std::future<void> done = r->done.get_future();
-  ASSERT_TRUE(server.submit(r));
+  ASSERT_TRUE(fleet.submit(0, r));
   done.wait();  // promise fulfilled even for dropped requests: no hang
   EXPECT_TRUE(r->failed);
 
   // submit_with_retry gives up after max_attempts and reports nullptr.
   const serve::RequestPtr got = serve::submit_with_retry(
-      server,
-      [](uint64_t id) {
-        Rng rng2(id + 1);
-        return serve::make_request(id, rng2.randn(Shape{3, 8, 8}));
-      },
-      1, /*max_attempts=*/3);
+      fleet, 0, random_requests(1), 1, /*max_attempts=*/3);
   EXPECT_EQ(got, nullptr);
-  server.stop();
+  fleet.stop();
   const fault::FaultStats s = metrics::fault_stats();
   EXPECT_GE(s.dropped_requests, 4u);  // 1 fail-fast + 3 retried attempts
   EXPECT_EQ(s.retries, 2u);           // attempts 1 and 2 were retries
   EXPECT_EQ(s.recoveries, 0u);
+  metrics::reset_fault_stats();
+}
+
+TEST(Fault, FleetDropsAreRetriedToCompletionOnEveryModel) {
+  // Drops apply fleet-wide: two models under concurrent closed-loop load
+  // both lose attempts to the coin, and retries complete every request on
+  // each of them.
+  serve::FrozenModel a(tiny_resnet(8), "fault-fleet-a");
+  serve::FrozenModel b(tiny_resnet(9), "fault-fleet-b");
+  a.prime(Shape{3, 8, 8}, 4);
+  b.prime(Shape{3, 8, 8}, 4);
+
+  metrics::reset_fault_stats();
+  metrics::FleetStats stats;
+  stats.add_model(a.name());
+  stats.add_model(b.name());
+  stats.begin();
+  serve::FleetConfig cfg;
+  cfg.workers = 2;
+  cfg.fault = fault::Plan(33);
+  cfg.fault.drop_requests(0.4);
+  serve::Fleet fleet(cfg, &stats);
+  fleet.add_model(borrowed(a, 4, 0.5));
+  fleet.add_model(borrowed(b, 4, 0.5));
+  fleet.start();
+
+  serve::ClosedLoopConfig lg;
+  lg.clients = 2;
+  lg.requests_per_client = 8;
+  lg.max_attempts = 16;  // enough that P(all dropped) is negligible
+  int64_t done_b = 0;
+  std::thread other([&] {
+    done_b = serve::run_closed_loop(fleet, 1, random_requests(300), lg);
+  });
+  const int64_t done_a =
+      serve::run_closed_loop(fleet, 0, random_requests(200), lg);
+  other.join();
+  fleet.stop();
+
+  EXPECT_EQ(done_a, 16);
+  EXPECT_EQ(done_b, 16);
+  const metrics::FleetReport rep = stats.report();
+  for (size_t m = 0; m < 2; ++m) {
+    EXPECT_EQ(rep.models[m].completed, 16u) << "model " << m;
+    // Admitted attempts beyond the served ones are this model's drops.
+    EXPECT_GT(rep.models[m].submitted, rep.models[m].completed)
+        << "model " << m;
+  }
+  // Every dropped attempt was admitted and then not served.
+  const fault::FaultStats s = metrics::fault_stats();
+  EXPECT_GT(s.dropped_requests, 0u);
+  EXPECT_EQ(rep.total.submitted - rep.total.completed, s.dropped_requests);
+  EXPECT_GT(s.retries, 0u);
+  EXPECT_GT(s.recoveries, 0u);
   metrics::reset_fault_stats();
 }
 

@@ -1,19 +1,17 @@
-// Serving subsystem tests: batcher flush/admission semantics, frozen-engine
-// bitwise equivalence with module eval forwards, zero-allocation steady
-// state, and end-to-end concurrent-client determinism. The whole file also
-// runs under PF_THREADS=4 (ctest pf_tests_threads4) and ThreadSanitizer
-// (ctest pf_tests_tsan), which is where the "engines are read-only after
-// prime()" contract is actually enforced.
-#include "serve/server.h"
+// Serving building-block tests: frozen-engine bitwise equivalence with
+// module eval forwards, packed-arena parameters, zero-allocation steady
+// state, and the ServeStats / Reservoir telemetry. Scheduling, admission
+// and end-to-end concurrent-client determinism are tested through the
+// fleet in fleet_test.cc. The whole file also runs under PF_THREADS=4
+// (ctest pf_tests_threads4) and ThreadSanitizer (ctest pf_tests_tsan).
+#include "serve/frozen.h"
 
 #include <gtest/gtest.h>
 
 #include <unistd.h>
 
-#include <atomic>
+#include <cstdio>
 #include <cstring>
-#include <future>
-#include <thread>
 #include <vector>
 
 #include "core/eval.h"
@@ -22,7 +20,6 @@
 #include "models/resnet.h"
 #include "nn/serialize.h"
 #include "runtime/buffer_pool.h"
-#include "runtime/thread_pool.h"
 
 namespace pf::serve {
 namespace {
@@ -52,153 +49,10 @@ std::unique_ptr<models::LstmLm> tiny_lstm(uint64_t seed, int64_t rank = 0) {
   return std::make_unique<models::LstmLm>(cfg, rng);
 }
 
-// Restores the env-default thread count when a test exits.
-struct ThreadGuard {
-  ~ThreadGuard() { runtime::set_threads(0); }
-};
-
 bool bitwise_equal(const Tensor& a, const Tensor& b) {
   return a.shape() == b.shape() &&
          std::memcmp(a.data(), b.data(),
                      static_cast<size_t>(a.numel()) * sizeof(float)) == 0;
-}
-
-// ---------------- Batcher ----------------
-
-TEST(Batcher, FlushesImmediatelyAtMaxBatch) {
-  BatcherConfig cfg;
-  cfg.max_batch = 4;
-  cfg.deadline_ms = 10000;  // deadline must not be what flushes this
-  Batcher b(cfg);
-  for (uint64_t i = 0; i < 4; ++i)
-    ASSERT_TRUE(b.submit(make_request(i, Tensor::ones(Shape{2}))));
-  metrics::Timer t;
-  std::vector<RequestPtr> batch = b.next_batch();
-  EXPECT_LT(t.seconds(), 1.0);  // no deadline wait
-  ASSERT_EQ(batch.size(), 4u);
-  for (uint64_t i = 0; i < 4; ++i) EXPECT_EQ(batch[i]->id, i);
-  EXPECT_EQ(b.depth(), 0);
-}
-
-TEST(Batcher, FlushesPartialBatchAtDeadline) {
-  BatcherConfig cfg;
-  cfg.max_batch = 8;
-  cfg.deadline_ms = 30;
-  Batcher b(cfg);
-  ASSERT_TRUE(b.submit(make_request(0, Tensor::ones(Shape{2}))));
-  ASSERT_TRUE(b.submit(make_request(1, Tensor::ones(Shape{2}))));
-  metrics::Timer t;
-  std::vector<RequestPtr> batch = b.next_batch();
-  const double waited = t.seconds();
-  ASSERT_EQ(batch.size(), 2u);
-  // The oldest request's deadline bounds the wait: the worker must have
-  // actually waited for peers (>= ~deadline, minus scheduling slop).
-  EXPECT_GE(waited, 0.02);
-}
-
-TEST(Batcher, ZeroDeadlineIsGreedy) {
-  BatcherConfig cfg;
-  cfg.max_batch = 8;
-  cfg.deadline_ms = 0;
-  Batcher b(cfg);
-  ASSERT_TRUE(b.submit(make_request(0, Tensor::ones(Shape{2}))));
-  metrics::Timer t;
-  EXPECT_EQ(b.next_batch().size(), 1u);
-  EXPECT_LT(t.seconds(), 1.0);
-}
-
-TEST(Batcher, RejectsBeyondBoundedDepth) {
-  BatcherConfig cfg;
-  cfg.max_batch = 4;
-  cfg.deadline_ms = 10000;
-  cfg.max_depth = 3;
-  Batcher b(cfg);
-  EXPECT_TRUE(b.submit(make_request(0, Tensor::ones(Shape{2}))));
-  EXPECT_TRUE(b.submit(make_request(1, Tensor::ones(Shape{2}))));
-  EXPECT_TRUE(b.submit(make_request(2, Tensor::ones(Shape{2}))));
-  EXPECT_FALSE(b.submit(make_request(3, Tensor::ones(Shape{2}))));
-  EXPECT_EQ(b.depth(), 3);
-  b.shutdown();
-  EXPECT_FALSE(b.submit(make_request(4, Tensor::ones(Shape{2}))));
-  // Drain semantics: queued work is still handed out after shutdown...
-  EXPECT_EQ(b.next_batch().size(), 3u);
-  // ...and only then do workers see the exit signal.
-  EXPECT_TRUE(b.next_batch().empty());
-}
-
-TEST(Batcher, DeadlineReArmsAfterAnotherWorkerFlushes) {
-  // Regression for the flush-deadline re-arm path: worker A parks on a
-  // deadline computed from the oldest request; another worker pops that
-  // request. The deadline must then be re-anchored to the CURRENT front --
-  // a stale anchor would flush a freshly submitted request immediately (as
-  // a batch of one) instead of letting it wait its own deadline_ms for
-  // peers.
-  BatcherConfig cfg;
-  cfg.max_batch = 3;
-  cfg.deadline_ms = 80;
-  Batcher b(cfg);
-
-  ASSERT_TRUE(b.submit(make_request(0, Tensor::ones(Shape{2}))));
-  // Worker A parks with the deadline anchored to request 0.
-  std::vector<RequestPtr> got_a;
-  std::thread worker_a([&] { got_a = b.next_batch(); });
-  std::this_thread::sleep_for(std::chrono::milliseconds(20));
-  // Worker B arrives, and two more submissions complete a full batch that
-  // B (or A) takes immediately -- either way request 0 leaves the queue.
-  ASSERT_TRUE(b.submit(make_request(1, Tensor::ones(Shape{2}))));
-  ASSERT_TRUE(b.submit(make_request(2, Tensor::ones(Shape{2}))));
-  worker_a.join();
-  ASSERT_EQ(got_a.size(), 3u);
-
-  // A fresh request submitted now is anchored to its OWN submit time: a
-  // second worker must hold it for ~deadline_ms waiting for peers, not
-  // flush it instantly against request 0's long-gone deadline.
-  ASSERT_TRUE(b.submit(make_request(3, Tensor::ones(Shape{2}))));
-  metrics::Timer t;
-  std::vector<RequestPtr> got_b = b.next_batch();
-  const double waited = t.seconds();
-  ASSERT_EQ(got_b.size(), 1u);
-  EXPECT_EQ(got_b[0]->id, 3u);
-  EXPECT_GE(waited, 0.05);  // ~deadline_ms minus scheduling slop
-}
-
-TEST(Batcher, ZeroDeadlineStaysGreedyUnderConcurrentWorkers) {
-  // deadline_ms = 0 degenerate case: the armed deadline is the front's own
-  // submit time (always in the past), so next_batch never parks -- even
-  // when several workers race over the same queue.
-  BatcherConfig cfg;
-  cfg.max_batch = 4;
-  cfg.deadline_ms = 0;
-  Batcher b(cfg);
-  constexpr int kRequests = 32;
-  std::atomic<int> handed{0};
-  std::vector<std::thread> workers;
-  for (int w = 0; w < 3; ++w)
-    workers.emplace_back([&] {
-      for (;;) {
-        std::vector<RequestPtr> batch = b.next_batch();
-        if (batch.empty()) return;  // shutdown + drained
-        handed.fetch_add(static_cast<int>(batch.size()));
-      }
-    });
-  metrics::Timer t;
-  for (int i = 0; i < kRequests; ++i)
-    ASSERT_TRUE(b.submit(make_request(static_cast<uint64_t>(i),
-                                      Tensor::ones(Shape{2}))));
-  b.shutdown();
-  for (std::thread& w : workers) w.join();
-  EXPECT_EQ(handed.load(), kRequests);  // every request handed out once
-  EXPECT_LT(t.seconds(), 5.0);          // greedy: nobody waited a deadline
-}
-
-TEST(Batcher, ShutdownWakesBlockedWorker) {
-  BatcherConfig cfg;
-  cfg.deadline_ms = 10000;
-  Batcher b(cfg);
-  std::thread worker([&] { EXPECT_TRUE(b.next_batch().empty()); });
-  std::this_thread::sleep_for(std::chrono::milliseconds(20));
-  b.shutdown();
-  worker.join();
 }
 
 // ---------------- Frozen engines ----------------
@@ -287,230 +141,6 @@ TEST(Frozen, SteadyStateServesWithZeroSysAllocs) {
                                  "allocator";
   EXPECT_EQ(s.cow_unshares, 0u) << "steady-state request paid a COW copy";
   EXPECT_GT(s.allocations, 0u);  // it did run, all from the free lists
-}
-
-// ---------------- Server ----------------
-
-// Engine stub whose forward blocks on a gate; used to pin requests in the
-// queue deterministically.
-class GateEngine : public Engine {
- public:
-  GateEngine() : gate_open_(gate_.get_future().share()) {}
-  std::string name() const override { return "gate"; }
-  void forward_batch(const std::vector<RequestPtr>& reqs) override {
-    if (!started_flag_.exchange(true)) started_.set_value();
-    gate_open_.wait();
-    for (const RequestPtr& r : reqs) r->output = Tensor::ones(Shape{1});
-  }
-  std::future<void> started() { return started_.get_future(); }
-  void open() { gate_.set_value(); }
-
- private:
-  std::promise<void> started_;
-  std::atomic<bool> started_flag_{false};
-  std::promise<void> gate_;
-  std::shared_future<void> gate_open_;
-};
-
-TEST(Server, AdmissionRejectsWhenQueueFull) {
-  GateEngine engine;
-  ServerConfig cfg;
-  cfg.workers = 1;
-  cfg.batcher.max_batch = 1;
-  cfg.batcher.deadline_ms = 0;
-  cfg.batcher.max_depth = 2;
-  metrics::ServeStats stats;
-  stats.begin();
-  Server server(engine, cfg, &stats);
-  server.start();
-
-  auto r1 = make_request(1, Tensor::ones(Shape{1}));
-  ASSERT_TRUE(server.submit(r1));
-  engine.started().wait();  // the single worker now holds r1, queue empty
-
-  ASSERT_TRUE(server.submit(make_request(2, Tensor::ones(Shape{1}))));
-  ASSERT_TRUE(server.submit(make_request(3, Tensor::ones(Shape{1}))));
-  EXPECT_FALSE(server.submit(make_request(4, Tensor::ones(Shape{1}))));
-
-  engine.open();
-  server.stop();
-  const metrics::ServeReport rep = stats.report();
-  EXPECT_EQ(rep.submitted, 3u);
-  EXPECT_EQ(rep.rejected, 1u);
-  EXPECT_EQ(rep.completed, 3u);  // drain: queued work finished on stop()
-}
-
-TEST(Server, ConcurrentClientsGetBitwiseDeterministicResults) {
-  // Per-request results must not depend on which batch a request landed in,
-  // which worker served it, or what else was in flight. Serve a frozen
-  // ResNet to 4 hammering clients, then check every response against the
-  // solo single-request forward.
-  FrozenModel frozen(tiny_resnet(6), "det-test");
-  frozen.prime(Shape{3, 8, 8}, 4);
-
-  ServerConfig cfg;
-  cfg.workers = 2;
-  cfg.batcher.max_batch = 4;
-  cfg.batcher.deadline_ms = 1.0;
-  metrics::ServeStats stats;
-  stats.begin();
-  Server server(frozen, cfg, &stats);
-  server.start();
-
-  constexpr int kClients = 4, kPerClient = 8;
-  // Deterministic per-request inputs, generated up front.
-  std::vector<Tensor> inputs;
-  for (int i = 0; i < kClients * kPerClient; ++i) {
-    Rng rng(1000 + static_cast<uint64_t>(i));
-    inputs.push_back(rng.randn(Shape{3, 8, 8}));
-  }
-  std::vector<Tensor> outputs(inputs.size());
-  std::vector<std::thread> clients;
-  for (int c = 0; c < kClients; ++c) {
-    clients.emplace_back([&, c] {
-      for (int k = 0; k < kPerClient; ++k) {
-        const size_t i = static_cast<size_t>(c * kPerClient + k);
-        RequestPtr r = make_request(i, inputs[i]);
-        std::future<void> done = r->done.get_future();
-        ASSERT_TRUE(server.submit(r));
-        done.wait();
-        outputs[i] = r->output;
-      }
-    });
-  }
-  for (std::thread& t : clients) t.join();
-  server.stop();
-
-  for (size_t i = 0; i < inputs.size(); ++i) {
-    Tensor solo = frozen.forward(inputs[i].reshape(Shape{1, 3, 8, 8}))
-                      .reshape(Shape{outputs[i].numel()});
-    EXPECT_TRUE(bitwise_equal(solo, outputs[i])) << "request " << i;
-  }
-  const metrics::ServeReport rep = stats.report();
-  EXPECT_EQ(rep.completed, static_cast<uint64_t>(inputs.size()));
-  EXPECT_EQ(rep.rejected, 0u);
-  EXPECT_GE(rep.mean_batch, 1.0);
-}
-
-TEST(Server, ResultsAndBatchHistogramIdenticalAcrossThreadCounts) {
-  // PF_THREADS determinism sweep for the serving path: with one worker and
-  // the whole workload queued before start(), batch assembly is a pure
-  // function of the request order -- so the ServeStats batch histogram AND
-  // every response must come out identical whether the kernel pool has 1 or
-  // 4 threads (worker-loop GEMMs take the inline-serial path either way).
-  ThreadGuard tg;
-  constexpr int kRequests = 14;  // 3 full batches of 4 + one partial of 2
-  std::vector<Tensor> inputs;
-  for (int i = 0; i < kRequests; ++i) {
-    Rng rng(2000 + static_cast<uint64_t>(i));
-    inputs.push_back(rng.randn(Shape{3, 8, 8}));
-  }
-  auto run = [&](int threads) {
-    runtime::set_threads(threads);
-    FrozenModel frozen(tiny_resnet(21, 2), "sweep-test");
-    frozen.prime(Shape{3, 8, 8}, 4);
-    ServerConfig cfg;
-    cfg.workers = 1;
-    cfg.batcher.max_batch = 4;
-    cfg.batcher.deadline_ms = 0;  // greedy: take whatever is queued
-    cfg.batcher.max_depth = kRequests;
-    metrics::ServeStats stats;
-    stats.begin();
-    Server server(frozen, cfg, &stats);
-    // Queue the complete workload before the worker exists.
-    std::vector<RequestPtr> reqs;
-    std::vector<std::future<void>> done;
-    for (int i = 0; i < kRequests; ++i) {
-      reqs.push_back(make_request(static_cast<uint64_t>(i),
-                                  inputs[static_cast<size_t>(i)]));
-      done.push_back(reqs.back()->done.get_future());
-      EXPECT_TRUE(server.submit(reqs.back()));
-    }
-    server.start();
-    for (auto& f : done) f.wait();
-    server.stop();
-    std::vector<Tensor> outputs;
-    for (const RequestPtr& r : reqs) outputs.push_back(r->output);
-    return std::make_pair(outputs, stats.report().batch_hist);
-  };
-  const auto [out1, hist1] = run(1);
-  const auto [out4, hist4] = run(4);
-
-  EXPECT_EQ(hist1, hist4);
-  ASSERT_EQ(hist1.size(), 5u);  // max recorded batch size 4
-  EXPECT_EQ(hist1[4], 3u);
-  EXPECT_EQ(hist1[2], 1u);
-  ASSERT_EQ(out1.size(), out4.size());
-  for (size_t i = 0; i < out1.size(); ++i)
-    EXPECT_TRUE(bitwise_equal(out1[i], out4[i])) << "request " << i;
-}
-
-TEST(Server, ClosedLoopLoadGenCompletesAll) {
-  FrozenLstm frozen(tiny_lstm(8), 5, "lstm-serve");
-  frozen.prime(4);
-  ServerConfig cfg;
-  cfg.workers = 2;
-  cfg.batcher.max_batch = 4;
-  cfg.batcher.deadline_ms = 0.5;
-  metrics::ServeStats stats;
-  stats.begin();
-  Server server(frozen, cfg, &stats);
-  server.start();
-
-  ClosedLoopConfig lg;
-  lg.clients = 3;
-  lg.requests_per_client = 6;
-  const int64_t done = run_closed_loop(
-      server,
-      [](uint64_t id) {
-        Rng rng(id);
-        std::vector<int64_t> toks(5);
-        for (auto& t : toks) t = rng.uniform_int(50);
-        return make_request(id, std::move(toks));
-      },
-      lg);
-  server.stop();
-  EXPECT_EQ(done, 18);
-  const metrics::ServeReport rep = stats.report();
-  EXPECT_EQ(rep.completed, 18u);
-  EXPECT_GT(rep.throughput_rps, 0.0);
-  EXPECT_GT(rep.p99_ms, 0.0);
-  EXPECT_GE(rep.p99_ms, rep.p50_ms);
-  // Histogram accounts for every completed request.
-  uint64_t hist_total = 0;
-  for (size_t s = 0; s < rep.batch_hist.size(); ++s)
-    hist_total += rep.batch_hist[s] * static_cast<uint64_t>(s);
-  EXPECT_EQ(hist_total, rep.completed);
-}
-
-TEST(Server, OpenLoopLoadGenRespectsAdmission) {
-  FrozenModel frozen(tiny_resnet(9), "open-loop");
-  frozen.prime(Shape{3, 8, 8}, 8);
-  ServerConfig cfg;
-  cfg.workers = 1;
-  cfg.batcher.max_batch = 8;
-  cfg.batcher.deadline_ms = 1.0;
-  cfg.batcher.max_depth = 64;
-  metrics::ServeStats stats;
-  stats.begin();
-  Server server(frozen, cfg, &stats);
-  server.start();
-
-  OpenLoopConfig lg;
-  lg.rate_rps = 2000;  // deliberately above service rate at this size
-  lg.total_requests = 64;
-  const int64_t done = run_open_loop(
-      server,
-      [](uint64_t id) {
-        Rng rng(id + 31);
-        return make_request(id, rng.randn(Shape{3, 8, 8}));
-      },
-      lg);
-  server.stop();
-  const metrics::ServeReport rep = stats.report();
-  EXPECT_EQ(static_cast<uint64_t>(done), rep.completed);
-  EXPECT_EQ(rep.submitted + rep.rejected, 64u);
-  EXPECT_GT(rep.mean_batch, 1.0);  // the backlog actually batched
 }
 
 // ---------------- ServeStats / Reservoir ----------------

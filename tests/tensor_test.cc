@@ -3,6 +3,8 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <ostream>
+#include <string>
 
 #include "tensor/rng.h"
 
@@ -257,6 +259,21 @@ TEST(Tensor, ShapeHelpers) {
 struct BroadcastCase {
   Shape a, b;
 };
+
+// Names each case by its shapes, e.g. "a=2x3,b=2x1". Without this gtest
+// prints the raw bytes of the two Shape vectors -- heap addresses -- so the
+// case names registered with ctest would change from build to build.
+void PrintTo(const BroadcastCase& c, std::ostream* os) {
+  auto dims = [](const Shape& s) {
+    std::string out;
+    for (size_t i = 0; i < s.size(); ++i) {
+      if (i) out += 'x';
+      out += std::to_string(s[i]);
+    }
+    return out;
+  };
+  *os << "a=" << dims(c.a) << ",b=" << dims(c.b);
+}
 
 class BroadcastP : public ::testing::TestWithParam<BroadcastCase> {};
 

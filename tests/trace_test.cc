@@ -30,7 +30,7 @@
 #include "models/resnet.h"
 #include "runtime/thread_pool.h"
 #include "serve/frozen.h"
-#include "serve/server.h"
+#include "serve/fleet.h"
 #include "tensor/rng.h"
 
 namespace pf {
@@ -114,6 +114,22 @@ void expect_well_formed_json(const std::string& s) {
 
 bool contains(const std::string& hay, const std::string& needle) {
   return hay.find(needle) != std::string::npos;
+}
+
+// The counter payload of every exported `name` span, in timeline order.
+std::vector<long long> span_counters(const std::string& json,
+                                     const std::string& name) {
+  std::vector<long long> out;
+  const std::string head = "{\"name\":\"" + name + "\"";
+  const std::string arg = "\"counter\":";
+  for (size_t at = json.find(head); at != std::string::npos;
+       at = json.find(head, at + 1)) {
+    const size_t end = json.find('}', at);
+    const size_t c = json.find(arg, at);
+    if (c != std::string::npos && c < end)
+      out.push_back(std::stoll(json.substr(c + arg.size())));
+  }
+  return out;
 }
 
 const trace::Event* find_event(const std::vector<trace::Event>& ev,
@@ -339,12 +355,18 @@ TEST(TraceJson, ServeRunExportsQueueFlushForwardReplySpans) {
       std::make_unique<models::ResNet18Cifar>(mc, rng), "trace-test");
   frozen.prime(Shape{3, 8, 8}, 4);
 
-  serve::ServerConfig cfg;
+  serve::FleetConfig cfg;
   cfg.workers = 1;
-  cfg.batcher.max_batch = 4;
-  cfg.batcher.deadline_ms = 0;  // greedy flush
   cfg.trace_path = path;
-  serve::Server server(frozen, cfg);
+  serve::Fleet fleet(cfg);
+  serve::FleetModelConfig model;
+  model.name = frozen.name();
+  model.factory = [&frozen] {
+    return std::shared_ptr<serve::Engine>(std::shared_ptr<void>{}, &frozen);
+  };
+  model.batcher.max_batch = 4;
+  model.batcher.deadline_ms = 0;  // greedy flush
+  fleet.add_model(std::move(model));
 
   constexpr int kRequests = 6;
   std::vector<serve::RequestPtr> reqs;
@@ -355,10 +377,10 @@ TEST(TraceJson, ServeRunExportsQueueFlushForwardReplySpans) {
                                        in.randn(Shape{3, 8, 8})));
     done.push_back(reqs.back()->done.get_future());
   }
-  server.start();
-  for (const serve::RequestPtr& r : reqs) ASSERT_TRUE(server.submit(r));
+  fleet.start();
+  for (const serve::RequestPtr& r : reqs) ASSERT_TRUE(fleet.submit(0, r));
   for (std::future<void>& f : done) f.wait();
-  server.stop();  // exports the timeline
+  fleet.stop();  // exports the timeline
 
   const std::string json = read_file(path);
   expect_well_formed_json(json);
@@ -369,6 +391,74 @@ TEST(TraceJson, ServeRunExportsQueueFlushForwardReplySpans) {
     EXPECT_TRUE(contains(json, std::string("\"name\":\"") + span + "\""))
         << "missing span " << span;
   }
+  std::filesystem::remove(path);
+}
+
+TEST(TraceJson, FleetRunExportsServeSpansForEveryModel) {
+  // A two-model fleet with trace_path set: the export carries all four
+  // serve.* span kinds, one serve.queue span per request of EITHER model
+  // (its counter is the request id), and forward spans that together
+  // cover every request.
+  TraceGuard g;
+  ThreadGuard tg;
+  runtime::set_threads(2);
+  const std::string path = tmp_path("pf_trace_fleet_test.json");
+
+  Rng rng(41);
+  models::ResNetCifarConfig mc;
+  mc.width_mult = 0.0625;
+  serve::FrozenModel a(std::make_unique<models::ResNet18Cifar>(mc, rng),
+                       "trace-a");
+  serve::FrozenModel b(std::make_unique<models::ResNet18Cifar>(mc, rng),
+                       "trace-b");
+  a.prime(Shape{3, 8, 8}, 4);
+  b.prime(Shape{3, 8, 8}, 4);
+
+  serve::FleetConfig cfg;
+  cfg.workers = 2;
+  cfg.trace_path = path;
+  serve::Fleet fleet(cfg);
+  for (serve::FrozenModel* e : {&a, &b}) {
+    serve::FleetModelConfig model;
+    model.name = e->name();
+    model.factory = [e] {
+      return std::shared_ptr<serve::Engine>(std::shared_ptr<void>{}, e);
+    };
+    model.batcher.max_batch = 4;
+    model.batcher.deadline_ms = 0.5;
+    fleet.add_model(std::move(model));
+  }
+
+  // Model m serves ids m * 100 + [0, kRequests).
+  constexpr int kRequests = 6;
+  std::vector<std::future<void>> done;
+  std::set<long long> want_ids;
+  fleet.start();
+  for (int i = 0; i < kRequests; ++i) {
+    for (int m = 0; m < 2; ++m) {
+      const uint64_t id = static_cast<uint64_t>(m * 100 + i);
+      Rng in(200 + id);
+      serve::RequestPtr r = serve::make_request(id, in.randn(Shape{3, 8, 8}));
+      done.push_back(r->done.get_future());
+      ASSERT_TRUE(fleet.submit(m, r));
+      want_ids.insert(static_cast<long long>(id));
+    }
+  }
+  for (std::future<void>& f : done) f.wait();
+  fleet.stop();  // exports the timeline
+
+  const std::string json = read_file(path);
+  expect_well_formed_json(json);
+  for (const char* span :
+       {"serve.queue", "serve.flush", "serve.forward", "serve.reply"}) {
+    EXPECT_FALSE(span_counters(json, span).empty()) << "missing span " << span;
+  }
+  const std::vector<long long> queued = span_counters(json, "serve.queue");
+  EXPECT_EQ(queued.size(), want_ids.size());
+  EXPECT_EQ(std::set<long long>(queued.begin(), queued.end()), want_ids);
+  long long forwarded = 0;
+  for (long long n : span_counters(json, "serve.forward")) forwarded += n;
+  EXPECT_EQ(forwarded, 2 * kRequests);
   std::filesystem::remove(path);
 }
 
