@@ -156,7 +156,10 @@ int cmd_train(const Args& a) {
   cfg.lr = static_cast<float>(a.get_d("lr", 0.05));
   cfg.lr_milestones = {(3 * cfg.epochs) / 4};
   cfg.seed = static_cast<uint64_t>(a.get_i("seed", 0));
-  cfg.threads = a.get_i("threads", 0);  // 0 = PF_THREADS env default
+  const auto threads = a.flags.find("threads");  // absent: PF_THREADS
+  cfg.threads = threads == a.flags.end()
+                    ? 0
+                    : runtime::parse_threads(threads->second, "--threads");
   if (cfg.threads > 0) runtime::set_threads(cfg.threads);
 
   data::SyntheticImages ds = make_data(classes, hw);

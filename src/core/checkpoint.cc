@@ -2,11 +2,9 @@
 
 #include <cstring>
 #include <filesystem>
-#include <fstream>
 #include <stdexcept>
 #include <utility>
 
-#include "fault/fault.h"
 #include "nn/serialize.h"
 #include "trace/trace.h"
 
@@ -14,84 +12,63 @@ namespace pf::core {
 
 namespace {
 
-// On-disk magics for TrainState files: v1 ("PUFFTST1", 3-word policy, no
+// Frames of TrainState files: v1 ("PUFFTST1", 3-word policy, no
 // layer_ranks / reducer state) is read-only legacy; v2 ("PUFFTST2") is
 // what save_train_state writes.
-constexpr uint64_t kTrainStateMagicV1 = 0x5055464654535431ull;
-constexpr uint64_t kTrainStateMagicV2 = 0x5055464654535432ull;
+constexpr nn::Frame kTrainStateV1{0x5055464654535431ull};
+constexpr nn::Frame kTrainStateV2{0x5055464654535432ull};
 
-void put_u64(std::vector<char>& buf, uint64_t v) {
-  const char* p = reinterpret_cast<const char*>(&v);
-  buf.insert(buf.end(), p, p + sizeof(v));
+constexpr size_t kRngBytes = 6 * sizeof(uint64_t);
+
+void put_rng(nn::ByteWriter& w, const Rng::State& st) {
+  for (uint64_t s : st.s) w.u64(s);
+  w.u64(st.has_cached ? 1 : 0);
+  w.f64(st.cached);
 }
 
-void put_f64(std::vector<char>& buf, double v) {
-  uint64_t bits;
-  std::memcpy(&bits, &v, sizeof(bits));
-  put_u64(buf, bits);
+Rng::State read_rng(nn::ByteReader& r) {
+  Rng::State st;
+  for (uint64_t& s : st.s) s = r.u64("rng state");
+  st.has_cached = r.u64("rng state") != 0;
+  st.cached = r.f64("rng state");
+  return st;
 }
 
-void put_rng(std::vector<char>& buf, const Rng::State& st) {
-  for (uint64_t w : st.s) put_u64(buf, w);
-  put_u64(buf, st.has_cached ? 1 : 0);
-  put_f64(buf, st.cached);
+void put_ints(nn::ByteWriter& w, const std::vector<int64_t>& v) {
+  w.u64(v.size());
+  for (int64_t x : v) w.u64(static_cast<uint64_t>(x));
 }
 
-struct Reader {
-  const char* p;
-  size_t left;
-  uint64_t u64() {
-    if (left < sizeof(uint64_t))
-      throw std::runtime_error("train state: truncated payload");
-    uint64_t v;
-    std::memcpy(&v, p, sizeof(v));
-    p += sizeof(v);
-    left -= sizeof(v);
-    return v;
-  }
-  double f64() {
-    const uint64_t bits = u64();
-    double v;
-    std::memcpy(&v, &bits, sizeof(v));
-    return v;
-  }
-  Rng::State rng() {
-    Rng::State st;
-    for (uint64_t& w : st.s) w = u64();
-    st.has_cached = u64() != 0;
-    st.cached = f64();
-    return st;
-  }
-  void floats(float* dst, size_t n) {
-    const size_t bytes = n * sizeof(float);
-    if (left < bytes)
-      throw std::runtime_error("train state: truncated tensor data");
-    std::memcpy(dst, p, bytes);
-    p += bytes;
-    left -= bytes;
-  }
-};
+std::vector<int64_t> read_ints(nn::ByteReader& r, const char* field) {
+  std::vector<int64_t> v(r.count(field, sizeof(uint64_t)));
+  for (int64_t& x : v) x = static_cast<int64_t>(r.u64(field));
+  return v;
+}
 
-void hash_tensors(nn::Module& m, uint64_t& h) {
-  auto mix = [&h](const Tensor& t) {
-    // Chain FNV over each tensor's bytes; seeding with the running hash
-    // keeps tensor boundaries significant.
-    const char* p = reinterpret_cast<const char*>(
-        std::as_const(t).data());
-    const size_t n = static_cast<size_t>(t.numel()) * sizeof(float);
-    h ^= nn::fnv1a(p, n);
-    h *= 0x100000001B3ull;
-  };
-  for (nn::Param& p : m.local_params()) mix(p.var->value);
-  for (nn::Buffer& b : m.local_buffers()) mix(b.value);
-  for (nn::Module* c : m.children()) hash_tensors(*c, h);
+void put_tensors(nn::ByteWriter& w, const std::vector<Tensor>& ts) {
+  w.u64(ts.size());
+  for (const Tensor& t : ts) w.tensor(t);
+}
+
+// No reserve(): each tensor is read (and bounds-checked) before it is kept.
+std::vector<Tensor> read_tensors(nn::ByteReader& r, const char* field) {
+  std::vector<Tensor> ts;
+  for (size_t n = r.count(field, sizeof(uint64_t)); n > 0; --n)
+    ts.push_back(r.tensor(field));
+  return ts;
 }
 
 }  // namespace
 
 uint64_t hash_model(nn::Module& model) {
+  // Chain FNV over each tensor's bytes; seeding with the running hash keeps
+  // tensor boundaries significant.
   uint64_t h = 0xCBF29CE484222325ull;
-  hash_tensors(model, h);
+  for (const Tensor* t : nn::checkpoint_tensors(model)) {
+    h ^= nn::fnv1a(reinterpret_cast<const char*>(t->data()),
+                   static_cast<size_t>(t->numel()) * sizeof(float));
+    h *= 0x100000001B3ull;
+  }
   return h;
 }
 
@@ -125,133 +102,54 @@ void restore_optimizer(optim::Optimizer& opt, const TrainState& st) {
   opt.set_state_scalars(st.opt_scalars);
 }
 
-namespace {
-
-void put_tensor(std::vector<char>& payload, const Tensor& t) {
-  put_u64(payload, static_cast<uint64_t>(t.dim()));
-  for (int64_t d = 0; d < t.dim(); ++d)
-    put_u64(payload, static_cast<uint64_t>(t.size(d)));
-  const char* data = reinterpret_cast<const char*>(std::as_const(t).data());
-  payload.insert(payload.end(), data,
-                 data + static_cast<size_t>(t.numel()) * sizeof(float));
-}
-
-Tensor read_tensor(Reader& r) {
-  const uint64_t dim = r.u64();
-  Shape shape(dim);
-  for (uint64_t d = 0; d < dim; ++d)
-    shape[d] = static_cast<int64_t>(r.u64());
-  Tensor t = Tensor::uninit(std::move(shape));
-  r.floats(t.data(), static_cast<size_t>(t.numel()));
-  return t;
-}
-
-}  // namespace
-
 void save_train_state(const TrainState& st, const std::string& path) {
-  std::vector<char> payload;
-  put_u64(payload, static_cast<uint64_t>(st.next_epoch));
-  put_u64(payload, static_cast<uint64_t>(st.global_step));
-  put_u64(payload, st.low_rank_phase ? 1 : 0);
-  put_f64(payload, st.svd_seconds);
-  put_f64(payload, st.cumulative_seconds);
-  for (uint64_t w : st.policy) put_u64(payload, w);
-  put_u64(payload, st.model_hash);
-  put_rng(payload, st.rng);
-  put_u64(payload, st.worker_rngs.size());
-  for (const Rng::State& r : st.worker_rngs) put_rng(payload, r);
-  put_u64(payload, st.opt_scalars.size());
-  for (int64_t s : st.opt_scalars) put_u64(payload, static_cast<uint64_t>(s));
-  put_u64(payload, st.opt_tensors.size());
-  for (const Tensor& t : st.opt_tensors) put_tensor(payload, t);
+  nn::ByteWriter w(kTrainStateV2);
+  w.u64(static_cast<uint64_t>(st.next_epoch));
+  w.u64(static_cast<uint64_t>(st.global_step));
+  w.u64(st.low_rank_phase ? 1 : 0);
+  w.f64(st.svd_seconds);
+  w.f64(st.cumulative_seconds);
+  for (uint64_t p : st.policy) w.u64(p);
+  w.u64(st.model_hash);
+  put_rng(w, st.rng);
+  w.u64(st.worker_rngs.size());
+  for (const Rng::State& r : st.worker_rngs) put_rng(w, r);
+  put_ints(w, st.opt_scalars);
+  put_tensors(w, st.opt_tensors);
   // v2 tail: moving per-layer ranks + stateful-reducer buffers.
-  put_u64(payload, st.layer_ranks.size());
-  for (int64_t r : st.layer_ranks) put_u64(payload, static_cast<uint64_t>(r));
-  put_u64(payload, st.reducer.scalars.size());
-  for (int64_t s : st.reducer.scalars)
-    put_u64(payload, static_cast<uint64_t>(s));
-  put_u64(payload, st.reducer.tensors.size());
-  for (const Tensor& t : st.reducer.tensors) put_tensor(payload, t);
-
-  nn::atomic_write(path, [&](std::ofstream& os) {
-    auto write_u64 = [&os](uint64_t v) {
-      fault::on_write_bytes(sizeof(v));
-      os.write(reinterpret_cast<const char*>(&v), sizeof(v));
-    };
-    write_u64(kTrainStateMagicV2);
-    write_u64(nn::fnv1a(payload.data(), payload.size()));
-    write_u64(payload.size());
-    fault::on_write_bytes(static_cast<int64_t>(payload.size()));
-    os.write(payload.data(), static_cast<std::streamsize>(payload.size()));
-  });
+  put_ints(w, st.layer_ranks);
+  put_ints(w, st.reducer.scalars);
+  put_tensors(w, st.reducer.tensors);
+  w.save(path);
 }
 
 TrainState load_train_state(const std::string& path) {
-  std::ifstream is(path, std::ios::binary);
-  if (!is) throw std::runtime_error("train state: cannot open " + path);
-  auto read_u64 = [&is, &path]() {
-    uint64_t v = 0;
-    is.read(reinterpret_cast<char*>(&v), sizeof(v));
-    if (!is) throw std::runtime_error("train state: truncated file " + path);
-    return v;
-  };
-  const uint64_t magic = read_u64();
-  if (magic != kTrainStateMagicV1 && magic != kTrainStateMagicV2)
-    throw std::runtime_error("train state: bad magic in " + path);
-  const bool v1 = magic == kTrainStateMagicV1;
-  const uint64_t checksum = read_u64();
-  const uint64_t payload_bytes = read_u64();
-  std::vector<char> payload(payload_bytes);
-  is.read(payload.data(), static_cast<std::streamsize>(payload_bytes));
-  if (!is || static_cast<uint64_t>(is.gcount()) != payload_bytes)
-    throw std::runtime_error("train state: truncated payload in " + path);
-  if (nn::fnv1a(payload.data(), payload.size()) != checksum)
-    throw std::runtime_error("train state: checksum mismatch in " + path +
-                             " (corrupt or truncated snapshot)");
-
-  Reader r{payload.data(), payload.size()};
+  nn::ByteReader r(path);
+  const bool v1 = r.frame({kTrainStateV1, kTrainStateV2}) == 0;
   TrainState st;
-  st.next_epoch = static_cast<int64_t>(r.u64());
-  st.global_step = static_cast<int64_t>(r.u64());
-  st.low_rank_phase = r.u64() != 0;
-  st.svd_seconds = r.f64();
-  st.cumulative_seconds = r.f64();
+  st.next_epoch = static_cast<int64_t>(r.u64("next_epoch"));
+  st.global_step = static_cast<int64_t>(r.u64("global_step"));
+  st.low_rank_phase = r.u64("low_rank_phase") != 0;
+  st.svd_seconds = r.f64("svd_seconds");
+  st.cumulative_seconds = r.f64("cumulative_seconds");
   // v1 wrote 3 policy words; the 4-word layouts of the legacy kinds are
   // their 3-word layouts zero-extended, so reading 3 + leaving word 3 at 0
   // decodes identically.
-  const size_t n_policy_words = v1 ? 3 : 4;
-  for (size_t i = 0; i < n_policy_words; ++i) st.policy[i] = r.u64();
+  for (size_t i = 0; i < (v1 ? 3u : 4u); ++i) st.policy[i] = r.u64("policy");
   if (v1 && st.policy[0] >= 2)
-    throw std::runtime_error(
-        "train state: v1 snapshot " + path + " carries policy kind word " +
-        std::to_string(st.policy[0]) +
-        ", which no v1 writer could produce (corrupt file)");
-  st.model_hash = r.u64();
-  st.rng = r.rng();
-  const uint64_t n_workers = r.u64();
-  st.worker_rngs.reserve(n_workers);
-  for (uint64_t i = 0; i < n_workers; ++i) st.worker_rngs.push_back(r.rng());
-  const uint64_t n_scalars = r.u64();
-  st.opt_scalars.reserve(n_scalars);
-  for (uint64_t i = 0; i < n_scalars; ++i)
-    st.opt_scalars.push_back(static_cast<int64_t>(r.u64()));
-  const uint64_t n_tensors = r.u64();
-  st.opt_tensors.reserve(n_tensors);
-  for (uint64_t i = 0; i < n_tensors; ++i)
-    st.opt_tensors.push_back(read_tensor(r));
+    r.fail("policy", "v1 snapshot carries kind word " +
+                         std::to_string(st.policy[0]) +
+                         ", which no v1 writer could produce (corrupt file)");
+  st.model_hash = r.u64("model_hash");
+  st.rng = read_rng(r);
+  st.worker_rngs.resize(r.count("worker_rngs", kRngBytes));
+  for (Rng::State& w : st.worker_rngs) w = read_rng(r);
+  st.opt_scalars = read_ints(r, "opt_scalars");
+  st.opt_tensors = read_tensors(r, "opt_tensors");
   if (!v1) {
-    const uint64_t n_ranks = r.u64();
-    st.layer_ranks.reserve(n_ranks);
-    for (uint64_t i = 0; i < n_ranks; ++i)
-      st.layer_ranks.push_back(static_cast<int64_t>(r.u64()));
-    const uint64_t n_red_scalars = r.u64();
-    st.reducer.scalars.reserve(n_red_scalars);
-    for (uint64_t i = 0; i < n_red_scalars; ++i)
-      st.reducer.scalars.push_back(static_cast<int64_t>(r.u64()));
-    const uint64_t n_red_tensors = r.u64();
-    st.reducer.tensors.reserve(n_red_tensors);
-    for (uint64_t i = 0; i < n_red_tensors; ++i)
-      st.reducer.tensors.push_back(read_tensor(r));
+    st.layer_ranks = read_ints(r, "layer_ranks");
+    st.reducer.scalars = read_ints(r, "reducer scalars");
+    st.reducer.tensors = read_tensors(r, "reducer tensors");
   }
   return st;
 }

@@ -16,9 +16,9 @@
 //     -- so the warm-up -> SVD switch draws the same randomness whether or
 //     not the run was interrupted.
 //
-// Snapshots are written with the same guarantees as weight checkpoints:
-// FNV-1a checksummed payload, temp-file + rename (nn/serialize's
-// atomic_write), so a crash mid-snapshot never destroys the previous one.
+// Snapshots are framed by the same container as weight checkpoints
+// (nn/serialize.h): FNV-1a checksummed payload, bounded reads, temp-file +
+// rename, so a crash mid-snapshot never destroys the previous one.
 #pragma once
 
 #include <string>
@@ -64,8 +64,8 @@ struct TrainState {
   uint64_t model_hash = 0;
 };
 
-// FNV-1a over every parameter and buffer tensor of `model` (depth-first,
-// the checkpoint order).
+// FNV-1a over every parameter and buffer tensor of `model`, in
+// nn::checkpoint_tensors order.
 uint64_t hash_model(nn::Module& model);
 
 // Snapshot / restore the optimizer part of the state. restore throws when
@@ -79,7 +79,8 @@ void restore_optimizer(optim::Optimizer& opt, const TrainState& st);
 // files ("PUFFTST1", written by older builds) by zero-extending the
 // 3-word policy -- but rejects a v1 file whose policy kind word claims an
 // adaptive kind, which a v1 writer could never have produced. load throws
-// on I/O failure, bad magic, truncation, or checksum mismatch.
+// nn::CheckpointError on I/O failure, bad magic, truncation, implausible
+// counts or checksum mismatch.
 void save_train_state(const TrainState& st, const std::string& path);
 TrainState load_train_state(const std::string& path);
 

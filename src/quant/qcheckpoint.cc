@@ -7,7 +7,6 @@
 #include <stdexcept>
 #include <vector>
 
-#include "fault/fault.h"
 #include "nn/serialize.h"
 
 namespace pf::quant {
@@ -20,117 +19,16 @@ constexpr uint8_t kEntryInt8 = 1;
 constexpr uint8_t kEntryBf16 = 2;
 constexpr uint8_t kEntryDeltaLowRank = 3;
 
-void put_u8(std::vector<char>& buf, uint8_t v) {
-  buf.push_back(static_cast<char>(v));
-}
-
-void put_u64(std::vector<char>& buf, uint64_t v) {
-  const char* p = reinterpret_cast<const char*>(&v);
-  buf.insert(buf.end(), p, p + sizeof(v));
-}
-
-void put_bytes(std::vector<char>& buf, const void* p, size_t n) {
-  const char* c = static_cast<const char*>(p);
-  buf.insert(buf.end(), c, c + n);
-}
-
-void put_shape(std::vector<char>& buf, const Shape& s) {
-  put_u64(buf, s.size());
-  for (int64_t d : s) put_u64(buf, static_cast<uint64_t>(d));
-}
-
-struct PayloadReader {
-  const char* p;
-  size_t left;
-  uint8_t u8() {
-    if (left < 1) throw std::runtime_error("qcheckpoint: truncated payload");
-    uint8_t v = static_cast<uint8_t>(*p);
-    ++p;
-    --left;
-    return v;
-  }
-  uint64_t u64() {
-    if (left < sizeof(uint64_t))
-      throw std::runtime_error("qcheckpoint: truncated payload");
-    uint64_t v;
-    std::memcpy(&v, p, sizeof(v));
-    p += sizeof(v);
-    left -= sizeof(v);
-    return v;
-  }
-  void bytes(void* dst, size_t n) {
-    if (left < n) throw std::runtime_error("qcheckpoint: truncated payload");
-    std::memcpy(dst, p, n);
-    p += n;
-    left -= n;
-  }
-  Shape shape() {
-    const uint64_t dim = u64();
-    if (dim > 16) throw std::runtime_error("qcheckpoint: implausible rank");
-    Shape s(dim);
-    for (uint64_t d = 0; d < dim; ++d) s[d] = static_cast<int64_t>(u64());
-    return s;
-  }
-};
-
-// The header + checksummed payload protocol shared by both artifact kinds.
-void write_artifact(const std::string& path, uint8_t kind,
-                    const std::vector<char>& payload) {
-  nn::atomic_write(path, [&](std::ofstream& os) {
-    auto wr = [&](const void* p, size_t n) {
-      fault::on_write_bytes(static_cast<int64_t>(n));
-      os.write(static_cast<const char*>(p), static_cast<std::streamsize>(n));
-    };
-    const uint64_t magic = kQCheckpointMagic;
-    wr(&magic, sizeof(magic));
-    const char ver = static_cast<char>(kQCheckpointVersion);
-    wr(&ver, 1);
-    const char k = static_cast<char>(kind);
-    wr(&k, 1);
-    const uint64_t checksum = nn::fnv1a(payload.data(), payload.size());
-    wr(&checksum, sizeof(checksum));
-    const uint64_t bytes = payload.size();
-    wr(&bytes, sizeof(bytes));
-    wr(payload.data(), payload.size());
-  });
-}
-
-std::vector<char> read_artifact(const std::string& path, uint8_t want_kind) {
-  std::ifstream is(path, std::ios::binary);
-  if (!is) throw std::runtime_error("qcheckpoint: cannot open " + path);
-  auto rd_u64 = [&]() {
-    uint64_t v = 0;
-    is.read(reinterpret_cast<char*>(&v), sizeof(v));
-    if (!is) throw std::runtime_error("qcheckpoint: unexpected end of file");
-    return v;
-  };
-  if (rd_u64() != kQCheckpointMagic)
-    throw std::runtime_error("qcheckpoint: bad magic in " + path);
-  char ver = 0, kind = 0;
-  is.read(&ver, 1);
-  is.read(&kind, 1);
-  if (!is || static_cast<uint8_t>(ver) != kQCheckpointVersion)
-    throw std::runtime_error("qcheckpoint: unsupported version in " + path);
-  if (static_cast<uint8_t>(kind) != want_kind)
-    throw std::runtime_error("qcheckpoint: wrong artifact kind in " + path);
-  const uint64_t checksum = rd_u64();
-  const uint64_t bytes = rd_u64();
-  std::vector<char> payload(bytes);
-  is.read(payload.data(), static_cast<std::streamsize>(bytes));
-  if (!is || static_cast<uint64_t>(is.gcount()) != bytes)
-    throw std::runtime_error("qcheckpoint: truncated payload in " + path);
-  if (nn::fnv1a(payload.data(), payload.size()) != checksum)
-    throw std::runtime_error("qcheckpoint: checksum mismatch in " + path +
-                             " (corrupt or truncated artifact)");
-  return payload;
+nn::Frame artifact_frame(uint8_t kind) {
+  return {kQCheckpointMagic, kQCheckpointVersion, kind};
 }
 
 }  // namespace
 
 void save_quantized(nn::Module& m, const std::string& path) {
   std::vector<detail::Entry> es = detail::collect_entries(m);
-  std::vector<char> payload;
-  put_u64(payload, es.size());
+  nn::ByteWriter w(artifact_frame(kArtifactQuantized));
+  w.u64(es.size());
   for (const detail::Entry& e : es) {
     const kernels::QuantizedMat* q =
         (e.slot && *e.slot) ? e.slot->get() : nullptr;
@@ -138,85 +36,78 @@ void save_quantized(nn::Module& m, const std::string& path) {
       if (e.tensor->empty())
         throw std::runtime_error(
             "save_quantized: fp32 master released without a quantized slot");
-      put_u8(payload, kEntryFp32);
-      put_shape(payload, e.tensor->shape());
-      put_bytes(payload, e.tensor->data(),
-                static_cast<size_t>(e.tensor->numel()) * sizeof(float));
+      w.u8(kEntryFp32);
+      w.tensor(*e.tensor);
       continue;
     }
     const bool int8 = q->mode == kernels::QMode::kInt8;
-    put_u8(payload, int8 ? kEntryInt8 : kEntryBf16);
+    w.u8(int8 ? kEntryInt8 : kEntryBf16);
     // The fp32 shape travels too so a mismatched architecture fails loudly
     // even when the master is already released.
-    Shape s = e.tensor->empty()
-                  ? (e.transpose ? Shape{e.qcols, e.qrows}
-                                 : Shape{e.qrows, e.qcols})
-                  : e.tensor->shape();
-    put_shape(payload, s);
-    put_u64(payload, static_cast<uint64_t>(q->rows));
-    put_u64(payload, static_cast<uint64_t>(q->cols));
+    w.shape(e.tensor->empty() ? (e.transpose ? Shape{e.qcols, e.qrows}
+                                             : Shape{e.qrows, e.qcols})
+                              : e.tensor->shape());
+    w.u64(static_cast<uint64_t>(q->rows));
+    w.u64(static_cast<uint64_t>(q->cols));
     if (int8) {
-      put_bytes(payload, q->scales.data(), q->scales.size() * sizeof(float));
-      put_bytes(payload, q->q.data(), q->q.size());
+      w.bytes(q->scales.data(), q->scales.size() * sizeof(float));
+      w.bytes(q->q.data(), q->q.size());
     } else {
-      put_bytes(payload, q->b16.data(), q->b16.size() * sizeof(uint16_t));
+      w.bytes(q->b16.data(), q->b16.size() * sizeof(uint16_t));
     }
   }
-  write_artifact(path, kArtifactQuantized, payload);
+  w.save(path);
 }
 
 void load_quantized(nn::Module& m, const std::string& path) {
-  std::vector<char> payload = read_artifact(path, kArtifactQuantized);
-  PayloadReader r{payload.data(), payload.size()};
+  nn::ByteReader r(path);
+  r.frame({artifact_frame(kArtifactQuantized)});
   std::vector<detail::Entry> es = detail::collect_entries(m);
-  const uint64_t count = r.u64();
+  const uint64_t count = r.u64("tensor count");
   if (count != es.size())
-    throw std::runtime_error(
-        "qcheckpoint: tensor count mismatch (file " + std::to_string(count) +
-        ", model " + std::to_string(es.size()) + ")");
+    r.fail("tensor count", "file " + std::to_string(count) + ", model " +
+                               std::to_string(es.size()));
   for (detail::Entry& e : es) {
-    const uint8_t kind = r.u8();
-    const Shape shape = r.shape();
-    if (kind == kEntryFp32) {
-      if (shape != e.tensor->shape())
-        throw std::runtime_error("qcheckpoint: shape mismatch: file " +
-                                 shape_str(shape) + " vs model " +
-                                 shape_str(e.tensor->shape()));
-      r.bytes(e.tensor->data(),
-              static_cast<size_t>(e.tensor->numel()) * sizeof(float));
-      continue;
-    }
-    if (kind != kEntryInt8 && kind != kEntryBf16)
-      throw std::runtime_error("qcheckpoint: unknown entry kind");
-    if (!e.slot)
-      throw std::runtime_error(
-          "qcheckpoint: quantized entry for a non-quantizable tensor "
-          "(architecture mismatch)");
+    const uint8_t kind = r.u8("entry kind");
+    const Shape shape = r.shape("tensor shape");
     // A module saved AFTER commit no longer knows the fp32 shape and writes
     // the canonical 2-D storage shape instead; accept either spelling.
     const Shape storage = e.transpose ? Shape{e.qcols, e.qrows}
                                       : Shape{e.qrows, e.qcols};
-    if (shape != e.tensor->shape() && shape != storage)
-      throw std::runtime_error("qcheckpoint: shape mismatch: file " +
-                               shape_str(shape) + " vs model " +
-                               shape_str(e.tensor->shape()));
+    const bool quantized = kind == kEntryInt8 || kind == kEntryBf16;
+    if (!quantized && kind != kEntryFp32)
+      r.fail("entry kind", "unknown kind " + std::to_string(kind));
+    if (quantized && !e.slot)
+      r.fail("entry kind",
+             "quantized entry for a non-quantizable tensor (architecture "
+             "mismatch)");
+    if (shape != e.tensor->shape() && !(quantized && shape == storage))
+      r.fail("tensor shape", "file " + shape_str(shape) + " vs model " +
+                                 shape_str(e.tensor->shape()));
+    if (!quantized) {
+      r.floats(e.tensor->data(), static_cast<size_t>(e.tensor->numel()),
+               "tensor data");
+      continue;
+    }
     kernels::QuantizedMat q;
     q.mode = kind == kEntryInt8 ? kernels::QMode::kInt8
                                 : kernels::QMode::kBf16;
-    q.rows = static_cast<int64_t>(r.u64());
-    q.cols = static_cast<int64_t>(r.u64());
+    q.rows = static_cast<int64_t>(r.u64("quantized rows"));
+    q.cols = static_cast<int64_t>(r.u64("quantized cols"));
     if (q.rows != e.qrows || q.cols != e.qcols)
-      throw std::runtime_error(
-          "qcheckpoint: quantized storage shape mismatch");
+      r.fail("quantized shape", "file " + shape_str({q.rows, q.cols}) +
+                                    " vs model " +
+                                    shape_str({e.qrows, e.qcols}));
     const size_t n = static_cast<size_t>(q.rows) * static_cast<size_t>(q.cols);
     if (q.mode == kernels::QMode::kInt8) {
       q.scales.resize(static_cast<size_t>(q.rows));
-      r.bytes(q.scales.data(), q.scales.size() * sizeof(float));
-      q.q.resize(n);
-      r.bytes(q.q.data(), n);
+      r.floats(q.scales.data(), q.scales.size(), "int8 scales");
+      const char* codes = r.take(n, 1, "int8 codes");
+      q.q.assign(codes, codes + n);
     } else {
+      const char* codes = r.take(n, sizeof(uint16_t), "bf16 codes");
       q.b16.resize(n);
-      r.bytes(q.b16.data(), n * sizeof(uint16_t));
+      std::memcpy(q.b16.data(), codes, n * sizeof(uint16_t));
     }
     *e.slot = std::make_shared<const kernels::QuantizedMat>(std::move(q));
     // Same state as quant::commit: the slot serves, the master is gone.
@@ -226,52 +117,47 @@ void load_quantized(nn::Module& m, const std::string& path) {
 }
 
 void save_delta(const DeltaModel& d, const std::string& path) {
-  std::vector<char> payload;
-  put_u64(payload, d.entries.size());
+  nn::ByteWriter w(artifact_frame(kArtifactDelta));
+  w.u64(d.entries.size());
   for (const DeltaEntry& e : d.entries) {
-    put_u8(payload, e.lowrank ? kEntryDeltaLowRank : kEntryFp32);
-    put_shape(payload, e.shape);
+    w.u8(e.lowrank ? kEntryDeltaLowRank : kEntryFp32);
+    w.shape(e.shape);
     if (e.lowrank) {
-      put_u64(payload, static_cast<uint64_t>(e.u.size(1)));
-      put_bytes(payload, e.u.data(),
-                static_cast<size_t>(e.u.numel()) * sizeof(float));
-      put_bytes(payload, e.v.data(),
-                static_cast<size_t>(e.v.numel()) * sizeof(float));
+      w.u64(static_cast<uint64_t>(e.u.size(1)));
+      w.bytes(e.u.data(), static_cast<size_t>(e.u.numel()) * sizeof(float));
+      w.bytes(e.v.data(), static_cast<size_t>(e.v.numel()) * sizeof(float));
     } else {
-      put_bytes(payload, e.dense.data(),
-                static_cast<size_t>(e.dense.numel()) * sizeof(float));
+      w.bytes(e.dense.data(),
+              static_cast<size_t>(e.dense.numel()) * sizeof(float));
     }
   }
-  write_artifact(path, kArtifactDelta, payload);
+  w.save(path);
 }
 
 DeltaModel load_delta(const std::string& path) {
-  std::vector<char> payload = read_artifact(path, kArtifactDelta);
-  PayloadReader r{payload.data(), payload.size()};
+  nn::ByteReader r(path);
+  r.frame({artifact_frame(kArtifactDelta)});
   DeltaModel d;
-  const uint64_t count = r.u64();
-  d.entries.reserve(count);
-  for (uint64_t i = 0; i < count; ++i) {
+  // Each entry takes at least its kind byte and rank word. No reserve():
+  // entries are kept only once read.
+  for (size_t n = r.count("delta entries", 1 + sizeof(uint64_t)); n > 0;
+       --n) {
     DeltaEntry e;
-    const uint8_t kind = r.u8();
-    e.shape = r.shape();
-    const int64_t numel = shape_numel(e.shape);
+    const uint8_t kind = r.u8("entry kind");
+    e.shape = r.shape("delta shape");
     if (kind == kEntryDeltaLowRank) {
       e.lowrank = true;
       const int64_t rows = e.shape.empty() ? 1 : e.shape[0];
-      const int64_t cols = rows > 0 ? numel / rows : 0;
-      const int64_t rank = static_cast<int64_t>(r.u64());
+      const int64_t cols = rows > 0 ? shape_numel(e.shape) / rows : 0;
+      const int64_t rank = static_cast<int64_t>(r.u64("delta rank"));
       if (rank < 1 || rank > std::min(rows, cols))
-        throw std::runtime_error("qcheckpoint: implausible delta rank");
-      e.u = Tensor::uninit(Shape{rows, rank});
-      e.v = Tensor::uninit(Shape{cols, rank});
-      r.bytes(e.u.data(), static_cast<size_t>(e.u.numel()) * sizeof(float));
-      r.bytes(e.v.data(), static_cast<size_t>(e.v.numel()) * sizeof(float));
+        r.fail("delta rank", "implausible rank " + std::to_string(rank));
+      e.u = r.floats(Shape{rows, rank}, "delta u");
+      e.v = r.floats(Shape{cols, rank}, "delta v");
     } else if (kind == kEntryFp32) {
-      e.dense = Tensor::uninit(e.shape);
-      r.bytes(e.dense.data(), static_cast<size_t>(numel) * sizeof(float));
+      e.dense = r.floats(e.shape, "delta dense");
     } else {
-      throw std::runtime_error("qcheckpoint: unknown delta entry kind");
+      r.fail("entry kind", "unknown delta kind " + std::to_string(kind));
     }
     d.entries.push_back(std::move(e));
   }

@@ -1,7 +1,7 @@
 // Checkpoint format v2 ("PUFFCKP3"): quantized-model artifacts and
 // delta-compressed variant artifacts.
 //
-// Layout (shared by both artifact kinds):
+// Layout (shared by both artifact kinds; the nn/serialize.h container):
 //   magic u64 | format version byte (2) | artifact kind byte |
 //   payload checksum u64 (FNV-1a) | payload bytes u64 | payload
 //
@@ -16,10 +16,10 @@
 //   dense: float residual
 //   lowrank: rank | U floats (rows*rank) | V floats (cols*rank)
 //
-// Writes reuse nn::atomic_write (tmp + rename crash safety) and route every
-// byte through fault::on_write_bytes so the torn-write tests cover v2 the
-// same way they cover v0/v1. Loads verify magic, version, kind, checksum
-// and per-tensor shapes before touching the module.
+// Writes and reads go through nn::ByteWriter / nn::ByteReader, so v2 gets
+// the same tmp + rename crash safety, fault::on_write_bytes coverage and
+// bounded, checksum-verified reads as v0/v1. Loads throw
+// nn::CheckpointError on any malformed or mismatched artifact.
 #pragma once
 
 #include <string>

@@ -1,9 +1,11 @@
 #include "runtime/thread_pool.h"
 
+#include <charconv>
 #include <condition_variable>
 #include <cstdlib>
 #include <memory>
 #include <mutex>
+#include <stdexcept>
 #include <thread>
 
 #include "trace/trace.h"
@@ -18,9 +20,7 @@ thread_local bool tl_in_pool_job = false;
 
 int env_default_threads() {
   const char* s = std::getenv("PF_THREADS");
-  if (!s) return 1;
-  const int n = std::atoi(s);
-  return n >= 1 ? n : 1;
+  return s ? parse_threads(s, "PF_THREADS") : 1;
 }
 
 // N-1 persistent workers; the dispatching thread acts as worker 0.
@@ -107,6 +107,17 @@ int ensure_threads_locked() {
 }
 
 }  // namespace
+
+int parse_threads(const std::string& text, const std::string& source) {
+  int n = 0;
+  const char* end = text.data() + text.size();
+  const auto [p, ec] = std::from_chars(text.data(), end, n);
+  if (ec != std::errc() || p != end || n < 1 || n > kMaxThreads)
+    throw std::invalid_argument(
+        source + "='" + text + "': expected a thread count in [1, " +
+        std::to_string(kMaxThreads) + "]");
+  return n;
+}
 
 int threads() {
   std::lock_guard<std::mutex> lk(g_state_mutex);

@@ -7,7 +7,8 @@
 // `parallel_reduce` combines per-chunk partials in ascending chunk order,
 // results are bitwise identical at 1, 2, or 64 threads. Pool size comes
 // from the PF_THREADS environment variable (default 1, so single-threaded
-// behaviour -- and every seed test -- is unchanged) or `set_threads()`.
+// behaviour -- and every seed test -- is unchanged; a malformed value
+// throws) or `set_threads()`.
 //
 // Re-entrancy: a `parallel_for` issued from inside a pool worker, or while
 // another thread is already dispatching (e.g. N shm-cluster workers all
@@ -17,6 +18,7 @@
 
 #include <cstdint>
 #include <functional>
+#include <string>
 #include <vector>
 
 namespace pf::runtime {
@@ -26,6 +28,16 @@ int threads();
 
 // Resizes the global pool; n <= 0 resets to the PF_THREADS env default.
 void set_threads(int n);
+
+// Sanity cap on a requested thread count: a typo such as
+// PF_THREADS=100000 must fail, not start 99,999 threads.
+inline constexpr int kMaxThreads = 1024;
+
+// The one parser for thread counts given as text (the PF_THREADS env var,
+// a --threads flag): a plain decimal integer in [1, kMaxThreads]. Anything
+// else -- non-numeric, trailing garbage, <= 0, overflow, above the cap --
+// throws std::invalid_argument naming `source`.
+int parse_threads(const std::string& text, const std::string& source);
 
 namespace detail {
 // Chunk width implied by `grain` (clamped to >= 1); boundaries are

@@ -12,6 +12,8 @@
 #include <cmath>
 #include <cstring>
 #include <filesystem>
+#include <stdexcept>
+#include <string>
 #include <vector>
 
 #include "compress/compressor.h"
@@ -107,6 +109,32 @@ TEST(ParallelReduce, NestedCallsFromInsideChunksStaySerial) {
     }
   });
   EXPECT_EQ(total.load(), 160);
+}
+
+// ---- Thread-count parsing (PF_THREADS / --threads). ----
+
+TEST(ThreadCount, ParsesPlainCountsUpToTheCap) {
+  EXPECT_EQ(runtime::parse_threads("1", "PF_THREADS"), 1);
+  EXPECT_EQ(runtime::parse_threads("16", "--threads"), 16);
+  EXPECT_EQ(runtime::parse_threads(std::to_string(runtime::kMaxThreads),
+                                   "PF_THREADS"),
+            runtime::kMaxThreads);
+}
+
+TEST(ThreadCount, RejectsMalformedValuesNamingTheSource) {
+  // Parsed only: no pool is ever built from these values.
+  for (const char* bad : {"", "abc", "4x", " 4", "4 ", "+4", "0", "-2",
+                          "1025", "100000", "99999999999999999999"}) {
+    for (const char* source : {"PF_THREADS", "--threads"}) {
+      try {
+        (void)runtime::parse_threads(bad, source);
+        ADD_FAILURE() << source << "='" << bad << "' was accepted";
+      } catch (const std::invalid_argument& e) {
+        EXPECT_NE(std::string(e.what()).find(source), std::string::npos)
+            << e.what();
+      }
+    }
+  }
 }
 
 // ---- Kernel determinism across thread counts. ----
