@@ -8,8 +8,8 @@
 // Pufferfish's smaller gradients shrink straggler damage proportionally.
 #include "common.h"
 
-#include "dist/cost_model.h"
 #include "dist/ring_sim.h"
+#include "plan/comm_sim.h"
 
 using namespace bench;
 
@@ -21,13 +21,13 @@ int main() {
   std::printf("(a) closed form vs event simulation, homogeneous 10 Gbps "
               "links:\n");
   {
+    const dist::HardwareProfile hw = dist::HardwareProfile::cloud_10g();
     metrics::Table t({"nodes", "bytes", "closed form (ms)",
                       "event sim (ms)", "diff"});
     for (int p : {2, 4, 8, 16}) {
       for (int64_t bytes : {int64_t{1} << 20, int64_t{97} << 20}) {
-        dist::CostModel cm;
-        cm.nodes = p;
-        const double closed = cm.allreduce_seconds(bytes, 1);
+        const double closed =
+            plan::collective_seconds(plan::Coll::kAllreduce, bytes, p, hw);
         const dist::RingSimResult sim =
             dist::simulate_ring_allreduce(bytes, p, {dist::RingLink{}});
         t.add_row({std::to_string(p), metrics::fmt_bytes(bytes),

@@ -7,9 +7,9 @@
 #include <cstdio>
 
 #include "compress/compressor.h"
-#include "dist/cost_model.h"
 #include "metrics/metrics.h"
 #include "models/resnet.h"
+#include "plan/comm_sim.h"
 
 using namespace pf;
 
@@ -39,8 +39,7 @@ int main() {
   Tensor exact(grad.shape());
   for (const Tensor& g : grads) exact.add_(g, 0.25f);
 
-  dist::CostModel cm;
-  cm.nodes = 16;
+  const dist::HardwareProfile hw = dist::HardwareProfile::cloud_10g();
 
   std::vector<std::unique_ptr<compress::Reducer>> reducers;
   reducers.push_back(std::make_unique<compress::AllreduceReducer>());
@@ -60,12 +59,11 @@ int main() {
     Tensor agg = r->reduce(grads, shapes, &stats);
     Tensor diff = agg - exact;
     const double rel = diff.norm() / exact.norm();
-    const double comm =
+    const double comm = plan::collective_seconds(
         stats.collective == compress::Collective::kAllreduce
-            ? cm.allreduce_seconds(stats.payload_bytes_per_worker,
-                                   stats.n_messages)
-            : cm.allgather_seconds(stats.payload_bytes_per_worker,
-                                   stats.n_messages);
+            ? plan::Coll::kAllreduce
+            : plan::Coll::kAllgather,
+        stats.payload_bytes_per_worker, 16, hw, stats.n_messages);
     table.add_row(
         {r->name(), metrics::fmt_bytes(stats.payload_bytes_per_worker),
          stats.collective == compress::Collective::kAllreduce ? "allreduce"

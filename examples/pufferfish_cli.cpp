@@ -13,10 +13,12 @@
 // Models: vgg19 | resnet18 | resnet50 | wrn50. `--rank-ratio 0` trains the
 // vanilla model; anything > 0 runs the full Pufferfish pipeline (Algorithm
 // 1) with the hybrid configuration from the paper.
+#include <charconv>
+#include <cmath>
 #include <cstdio>
-#include <cstdlib>
 #include <cstring>
 #include <map>
+#include <stdexcept>
 #include <string>
 
 #include "core/trainer.h"
@@ -40,21 +42,40 @@ struct Args {
     auto it = flags.find(key);
     return it == flags.end() ? dflt : it->second;
   }
+  // Numeric flags parse strictly: the whole value must be the number, else
+  // std::invalid_argument naming the flag (the runtime::parse_threads shape).
   double get_d(const std::string& key, double dflt) const {
-    auto it = flags.find(key);
-    return it == flags.end() ? dflt : std::atof(it->second.c_str());
+    return get_number(key, dflt, "a finite number");
   }
   int get_i(const std::string& key, int dflt) const {
+    return get_number(key, dflt, "an integer");
+  }
+
+ private:
+  template <typename T>
+  T get_number(const std::string& key, T dflt, const char* expected) const {
     auto it = flags.find(key);
-    return it == flags.end() ? dflt : std::atoi(it->second.c_str());
+    if (it == flags.end()) return dflt;
+    const std::string& text = it->second;
+    const char* end = text.data() + text.size();
+    T v{};
+    const auto [p, ec] = std::from_chars(text.data(), end, v);
+    if (ec != std::errc() || p != end ||
+        !std::isfinite(static_cast<double>(v)))
+      throw std::invalid_argument("--" + key + "='" + text + "': expected " +
+                                  expected);
+    return v;
   }
 };
 
+// `--flag value` pairs after the command; a flag without a value throws.
 Args parse(int argc, char** argv) {
   Args a;
   if (argc >= 2) a.command = argv[1];
-  for (int i = 2; i + 1 < argc; i += 2) {
+  for (int i = 2; i < argc; i += 2) {
     std::string key = argv[i];
+    if (i + 1 == argc)
+      throw std::invalid_argument(key + ": missing value");
     if (key.rfind("--", 0) == 0) key = key.substr(2);
     a.flags[key] = argv[i + 1];
   }
@@ -302,8 +323,8 @@ int cmd_plan(const Args& a) {
 }  // namespace
 
 int main(int argc, char** argv) {
-  const Args a = parse(argc, argv);
   try {
+    const Args a = parse(argc, argv);
     if (a.command == "train") return cmd_train(a);
     if (a.command == "eval") return cmd_eval(a);
     if (a.command == "inspect") return cmd_inspect(a);

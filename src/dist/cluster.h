@@ -4,8 +4,9 @@
 // Each step the global batch is sharded across `nodes` workers; every worker
 // computes a real gradient on its shard (executed sequentially here, timed,
 // then divided by `nodes` since real workers run in parallel); the chosen
-// Reducer produces real encoded payloads whose byte counts feed the
-// alpha-beta CostModel. The result is the per-epoch compute / encode /
+// Reducer produces real encoded payloads whose byte counts and message
+// counts are priced by plan::collective_seconds on the paper's EC2 links
+// (HardwareProfile::cloud_10g). The result is the per-epoch compute / encode /
 // communicate / decode breakdown of the paper's Figure 4, plus a faithful
 // training trajectory (the aggregated gradient actually updates the model).
 #pragma once
@@ -15,7 +16,6 @@
 
 #include "compress/compressor.h"
 #include "core/trainer.h"
-#include "dist/cost_model.h"
 #include "optim/optim.h"
 
 namespace pf::dist {
@@ -48,7 +48,7 @@ struct DistEpochRecord {
 
 struct DistTrainConfig {
   int epochs = 8;
-  int64_t global_batch = 64;  // sharded evenly over cm.nodes
+  int64_t global_batch = 64;  // sharded evenly over the trainer's nodes
   float lr = 0.05f;
   float momentum = 0.9f;
   float weight_decay = 1e-4f;
@@ -84,9 +84,11 @@ ShardRange shard_range(int64_t batch, int lanes, int lane);
 
 class DataParallelTrainer {
  public:
+  // `nodes` is the modeled worker count: it shards each global batch and
+  // sets the ring size every step's collective is priced at.
   DataParallelTrainer(std::unique_ptr<nn::UnaryModule> model,
                       std::unique_ptr<compress::Reducer> reducer,
-                      CostModel cost_model, const DistTrainConfig& cfg);
+                      int nodes, const DistTrainConfig& cfg);
 
   // Runs one epoch over the dataset; returns loss/accuracy/breakdown.
   DistEpochRecord train_epoch(const data::SyntheticImages& ds, int epoch);
@@ -114,7 +116,7 @@ class DataParallelTrainer {
  private:
   std::unique_ptr<nn::UnaryModule> model_;
   std::unique_ptr<compress::Reducer> reducer_;
-  CostModel cm_;
+  int nodes_;
   DistTrainConfig cfg_;
   std::unique_ptr<optim::SGD> opt_;
   std::vector<Shape> param_shapes_;

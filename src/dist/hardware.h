@@ -1,11 +1,8 @@
 // HardwareProfile: one description of a cluster's links and compute that
-// every communication model in the repo derives its constants from.
-//
-// Before this header existed, dist::CostModel and dist::RingLink each
-// hardcoded "10 Gbps / 50 us" independently; calibration (src/plan) would
-// have had to update both. Now the shared defaults live here once:
-// CostModel and RingLink default-construct from kDefaultLink*, and
-// cost_model_from / link_from project a full profile onto them.
+// every communication model in the repo derives its constants from. The
+// default link constants live here once: HardwareProfile and dist::RingLink
+// default-construct from kDefaultLink*, and link_from projects a full
+// profile onto a ring link.
 //
 // A profile describes a two-level topology: `workers_per_node` ranks share
 // a fast intra-node link; nodes talk over the slower inter-node link.

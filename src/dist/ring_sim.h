@@ -1,13 +1,14 @@
 // Discrete-event simulation of the ring collectives.
 //
-// The cluster trainer prices communication with the closed-form alpha-beta
-// expressions in cost_model.h. This module validates those formulas from
-// first principles: it simulates the actual ring schedule -- reduce-scatter
-// then allgather, 2(p-1) steps of one chunk each over point-to-point links
-// with latency alpha and bandwidth B, allowing heterogeneous (straggler)
-// links -- and reports the makespan. bench_ablation_ring_sim checks the
-// closed form against the event simulation and quantifies what stragglers
-// do to it (something the closed form cannot express).
+// The cluster trainer and the planner price communication with the
+// closed-form alpha-beta expressions in plan/comm_sim.h. This module
+// validates those formulas from first principles: it simulates the actual
+// ring schedule -- reduce-scatter then allgather, 2(p-1) steps of one chunk
+// each over point-to-point links with latency alpha and bandwidth B,
+// allowing heterogeneous (straggler) links -- and reports the makespan.
+// bench_ablation_ring_sim checks the closed form against the event
+// simulation and quantifies what stragglers do to it (something the closed
+// form cannot express).
 #pragma once
 
 #include <cstdint>
@@ -18,9 +19,7 @@
 namespace pf::dist {
 
 struct RingLink {
-  // Defaults derive from the shared HardwareProfile constants (hardware.h);
-  // they must stay in lockstep with CostModel's for the closed-form vs
-  // event-sim cross-check (tests/plan_test.cc) to be meaningful.
+  // Defaults derive from the shared HardwareProfile constants (hardware.h).
   double latency_s = kDefaultLinkLatencyS;
   double bandwidth_bytes_per_s = kDefaultLinkBandwidthBytesPerS;
 };

@@ -243,13 +243,22 @@ void load_checkpoint(Module& module, const std::string& path) {
   if (count != tensors.size())
     r.fail("tensor count", "file " + std::to_string(count) + ", model " +
                                std::to_string(tensors.size()));
-  for (Tensor* t : tensors) {
+  // All or nothing: check every entry against the model before the first
+  // write, so a mismatch leaves the model exactly as it was.
+  std::vector<const char*> data;
+  data.reserve(tensors.size());
+  for (const Tensor* t : tensors) {
     const Shape shape = r.shape("tensor shape");
     if (shape != t->shape())
       r.fail("tensor shape", "file " + shape_str(shape) + " vs model " +
                                  shape_str(t->shape()));
-    r.floats(t->data(), static_cast<size_t>(t->numel()), "tensor data");
+    data.push_back(r.take(static_cast<size_t>(t->numel()), sizeof(float),
+                          "tensor data"));
   }
+  for (size_t i = 0; i < tensors.size(); ++i)
+    if (tensors[i]->numel() != 0)
+      std::memcpy(tensors[i]->data(), data[i],
+                  static_cast<size_t>(tensors[i]->numel()) * sizeof(float));
 }
 
 }  // namespace pf::nn

@@ -3,6 +3,16 @@
 #include <algorithm>
 #include <cmath>
 
+// Every alpha and beta term is rounded as written. Left to the compiler, a
+// latency product gets fused into the following add (an FMA under
+// -march=native) at some call sites and not others, which moves a price by
+// an ulp depending on how it was inlined.
+#if defined(__clang__)
+#pragma clang fp contract(off)
+#elif defined(__GNUC__)
+#pragma GCC optimize("-ffp-contract=off")
+#endif
+
 namespace pf::plan {
 
 namespace {
@@ -36,20 +46,20 @@ const char* coll_name(Coll c) {
 }
 
 double collective_seconds_flat(Coll c, int64_t bytes, int p, double alpha_s,
-                               double bandwidth_bytes_per_s) {
+                               double bandwidth_bytes_per_s, int messages) {
+  if (messages > 1)
+    return messages * collective_seconds_flat(c, bytes / messages, p, alpha_s,
+                                              bandwidth_bytes_per_s);
   if (p <= 1 || bytes <= 0) return 0;
   const double pd = p;
   const double n = static_cast<double>(bytes);
   const double B = bandwidth_bytes_per_s;
   switch (c) {
     case Coll::kAllreduce:
-      // Must stay expression-identical to dist::CostModel::allreduce_seconds
-      // so rank-ratio-1.0 plans reproduce the DDP prediction bitwise.
       return 2.0 * (pd - 1) * alpha_s + 2.0 * n * (pd - 1) / pd / B;
     case Coll::kReduceScatter:
       return (pd - 1) * alpha_s + n * (pd - 1) / pd / B;
     case Coll::kAllgather:
-      // Expression-identical to dist::CostModel::allgather_seconds.
       return (pd - 1) * alpha_s + n * (pd - 1) / B;
     case Coll::kBroadcast:
       return ceil_log2(p) * (alpha_s + n / B);
@@ -60,7 +70,9 @@ double collective_seconds_flat(Coll c, int64_t bytes, int p, double alpha_s,
 }
 
 double collective_seconds(Coll c, int64_t bytes, int p,
-                          const dist::HardwareProfile& hw) {
+                          const dist::HardwareProfile& hw, int messages) {
+  if (messages > 1)
+    return messages * collective_seconds(c, bytes / messages, p, hw);
   if (p <= 1 || bytes <= 0) return 0;
   const int m = std::max(1, hw.workers_per_node);
   // Flat regimes: single-level profile, or the whole job inside one node.
@@ -118,20 +130,21 @@ double collective_seconds(Coll c, int64_t bytes, int p,
 double overlap_epoch_seconds(double compute_s, int64_t grad_bytes, int p,
                              const dist::HardwareProfile& hw,
                              int64_t bucket_bytes) {
-  // Mirrors dist::ddp_epoch_seconds step for step; the only difference is
-  // the per-bucket price, which here understands hierarchical profiles.
+  // Forward is ~1/3 of compute, backward (which produces the gradients,
+  // last layer first) the other 2/3.
   const double fwd = compute_s / 3.0;
   const double bwd = compute_s - fwd;
   const int n_buckets = static_cast<int>(std::max<int64_t>(
       1, (grad_bytes + bucket_bytes - 1) / bucket_bytes));
   const int64_t per_bucket = grad_bytes / n_buckets;
-  double channel_free = fwd;
+  double channel_free = fwd;  // comm can start once the first bucket is ready
   for (int i = 0; i < n_buckets; ++i) {
     const double ready = fwd + bwd * static_cast<double>(i + 1) / n_buckets;
     const double start = std::max(ready, channel_free);
     channel_free =
         start + collective_seconds(Coll::kAllreduce, per_bucket, p, hw);
   }
+  // The step ends when both compute and the last bucket's comm are done.
   return std::max(fwd + bwd, channel_free);
 }
 

@@ -1,6 +1,9 @@
 // Alpha-beta simulator for the named collectives over flat and two-level
-// topologies -- the generalization of dist::CostModel's two ring formulas
-// that the planner (src/plan/planner.h) prices every candidate config with.
+// topologies (Thakur, Rabenseifner & Gropp 2005 -- the model the paper's
+// Section 4.1 latency argument is built on). It is the repo's one
+// alpha-beta model: the planner (src/plan/planner.h) prices every candidate
+// config with it, and the modeled data-parallel trainer
+// (dist::DataParallelTrainer) prices every step with it.
 //
 // Flat (single-level) closed forms, p ranks on one link (alpha per message,
 // bandwidth B), all byte counts n as seen by ONE rank:
@@ -16,10 +19,15 @@
 //   all_to_all(n)      n split evenly across peers, serialized on the NIC:
 //                        (p-1) alpha + n (p-1)/p / B
 //
-// The flat allreduce/allgather forms are IDENTICAL (same expression, same
-// evaluation order) to dist::CostModel's, so plans degenerate bitwise to the
-// vanilla DDP prediction bench_fig4_distributed prints; both are validated
-// against the discrete-event ring simulation to <1% in tests/plan_test.cc.
+// The allreduce/allgather forms are validated against the discrete-event
+// ring simulation (dist/ring_sim.h) to <1% in tests/plan_test.cc.
+//
+// Multi-message steps: `messages` > 1 prices a step that issues that many
+// collectives (PowerSGD's P and Q rounds; one call per layer when gradients
+// are not packed into one flat buffer). `bytes` is still the rank's total
+// for the step, split evenly: messages x cost(bytes / messages). The
+// latency term is paid per message, which is why the paper packs all
+// gradients into ONE flat buffer per iteration.
 //
 // Two-level topologies (hw.workers_per_node = m > 1, g = p/m nodes) use the
 // standard hierarchical decompositions (intra-node phase on the fast link,
@@ -46,20 +54,21 @@ const char* coll_name(Coll c);
 
 // Flat single-link closed form (p ranks, one alpha/B link).
 double collective_seconds_flat(Coll c, int64_t bytes, int p, double alpha_s,
-                               double bandwidth_bytes_per_s);
+                               double bandwidth_bytes_per_s,
+                               int messages = 1);
 
 // Profile-aware cost: flat when the profile is single-level or the job fits
 // inside one node (p <= workers_per_node, priced on the intra link);
 // hierarchical two-level otherwise. `p` is the total rank count.
 double collective_seconds(Coll c, int64_t bytes, int p,
-                          const dist::HardwareProfile& hw);
+                          const dist::HardwareProfile& hw, int messages = 1);
 
-// DDP bucketed-overlap epoch model over an arbitrary profile: the exact
-// schedule of dist::ddp_epoch_seconds (buckets ready uniformly across the
-// backward 2/3 of compute, one serial comm channel) but with each bucket
-// priced by collective_seconds(kAllreduce, ...), so it prices hierarchical
-// profiles too. On a flat profile it equals dist::ddp_epoch_seconds exactly
-// (asserted in tests/plan_test.cc).
+// PyTorch-DDP-style bucketed overlap: backward produces gradient buckets of
+// `bucket_bytes` (ready uniformly across the backward 2/3 of compute) which
+// are allreduced on one serial comm channel while later layers still
+// compute. Returns the modeled step time given the per-step compute time
+// (forward+backward) and the total gradient bytes; each bucket is priced by
+// collective_seconds(kAllreduce, ...), so hierarchical profiles work too.
 double overlap_epoch_seconds(double compute_s, int64_t grad_bytes, int p,
                              const dist::HardwareProfile& hw,
                              int64_t bucket_bytes = 25 << 20);

@@ -63,9 +63,8 @@ double modeled_epoch_seconds(const ModelCosts& costs, const MethodCosts& mc,
   // bucket size, so per-bucket overheads live in the fitted coefficients.
   const int64_t payload = static_cast<int64_t>(
       mc.payload_factor * static_cast<double>(bytes));
-  const double comm =
-      static_cast<double>(mc.n_messages) *
-      collective_seconds(mc.collective, payload, workers, hw);
+  const double comm = collective_seconds(
+      mc.collective, mc.n_messages * payload, workers, hw, mc.n_messages);
   const double encode = mc.encode_s_per_byte * static_cast<double>(bytes);
   const double decode =
       mc.decode_s_per_byte * static_cast<double>(payload) *

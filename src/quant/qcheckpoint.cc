@@ -67,7 +67,13 @@ void load_quantized(nn::Module& m, const std::string& path) {
   if (count != es.size())
     r.fail("tensor count", "file " + std::to_string(count) + ", model " +
                                std::to_string(es.size()));
-  for (detail::Entry& e : es) {
+  // All or nothing: every entry is checked (and quantized ones decoded)
+  // before the first write to the module, so a mismatch leaves it exactly
+  // as it was. Per entry: its fp32 data in the file, or its decoded slot.
+  std::vector<const char*> fp32(es.size(), nullptr);
+  std::vector<std::shared_ptr<const kernels::QuantizedMat>> slots(es.size());
+  for (size_t i = 0; i < es.size(); ++i) {
+    const detail::Entry& e = es[i];
     const uint8_t kind = r.u8("entry kind");
     const Shape shape = r.shape("tensor shape");
     // A module saved AFTER commit no longer knows the fp32 shape and writes
@@ -85,8 +91,8 @@ void load_quantized(nn::Module& m, const std::string& path) {
       r.fail("tensor shape", "file " + shape_str(shape) + " vs model " +
                                  shape_str(e.tensor->shape()));
     if (!quantized) {
-      r.floats(e.tensor->data(), static_cast<size_t>(e.tensor->numel()),
-               "tensor data");
+      fp32[i] = r.take(static_cast<size_t>(e.tensor->numel()), sizeof(float),
+                       "tensor data");
       continue;
     }
     kernels::QuantizedMat q;
@@ -109,7 +115,17 @@ void load_quantized(nn::Module& m, const std::string& path) {
       q.b16.resize(n);
       std::memcpy(q.b16.data(), codes, n * sizeof(uint16_t));
     }
-    *e.slot = std::make_shared<const kernels::QuantizedMat>(std::move(q));
+    slots[i] = std::make_shared<const kernels::QuantizedMat>(std::move(q));
+  }
+  for (size_t i = 0; i < es.size(); ++i) {
+    detail::Entry& e = es[i];
+    if (!slots[i]) {
+      if (e.tensor->numel() != 0)
+        std::memcpy(e.tensor->data(), fp32[i],
+                    static_cast<size_t>(e.tensor->numel()) * sizeof(float));
+      continue;
+    }
+    *e.slot = std::move(slots[i]);
     // Same state as quant::commit: the slot serves, the master is gone.
     e.param->var->value = Tensor();
     e.param->var->requires_grad = false;

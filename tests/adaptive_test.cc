@@ -320,9 +320,7 @@ double final_loss_with(std::unique_ptr<compress::Reducer> reducer, float lr,
   cfg.lr = lr;
   cfg.momentum = momentum;
   cfg.weight_decay = 0;
-  dist::CostModel cm;
-  cm.nodes = 4;
-  dist::DataParallelTrainer t(mlp_model(3), std::move(reducer), cm, cfg);
+  dist::DataParallelTrainer t(mlp_model(3), std::move(reducer), 4, cfg);
   return t.train(ds).back().train_loss;
 }
 

@@ -323,6 +323,57 @@ INSTANTIATE_TEST_SUITE_P(
       return std::string(info.param.name);
     });
 
+// ---------------- mismatched architecture: all or nothing ----------------
+//
+// A file from a model that differs only in its last layer (100 classes vs
+// 10, scaled down) fails at its last entries. The loaders check every entry
+// before writing any, so the target model is exactly as it was.
+
+std::unique_ptr<nn::Sequential> classifier(int64_t classes, float scale) {
+  Rng rng(3);
+  auto m = std::make_unique<nn::Sequential>();
+  m->emplace<nn::Linear>(8, 6, rng);
+  m->emplace<nn::LowRankLinear>(6, 4, 2, rng);
+  m->emplace<nn::Linear>(4, classes, rng);
+  fill_ramp(*m, scale);
+  return m;
+}
+
+void expect_mismatch_leaves_model(nn::Module& target, const std::string& path,
+                                  void (*load)(nn::Module&,
+                                               const std::string&)) {
+  const uint64_t before = core::hash_model(target);
+  try {
+    load(target, path);
+    ADD_FAILURE() << "mismatched file loaded";
+  } catch (const nn::CheckpointError& e) {
+    EXPECT_NE(std::string(e.what()).find("tensor shape"), std::string::npos)
+        << e.what();
+  }
+  EXPECT_EQ(core::hash_model(target), before);
+}
+
+TEST(CheckpointHostileMismatch, ModelLoadIsAllOrNothing) {
+  const std::string path = tmp_path("mismatch_model.ckpt");
+  nn::save_checkpoint(*classifier(10, 0.5f), path);
+  auto target = classifier(3, 0.0625f);
+  expect_mismatch_leaves_model(*target, path, nn::load_checkpoint);
+  std::remove(path.c_str());
+}
+
+TEST(CheckpointHostileMismatch, QuantizedLoadIsAllOrNothing) {
+  const std::string path = tmp_path("mismatch_quant.ckpt");
+  auto source = classifier(10, 0.5f);
+  quant::QuantSpec spec;
+  spec.min_numel = 1;
+  ASSERT_GT(quant::quantize_module(*source, spec), 0);
+  quant::save_quantized(*source, path);
+  auto target = classifier(3, 0.0625f);
+  expect_mismatch_leaves_model(*target, path, quant::load_quantized);
+  EXPECT_EQ(quant::quantized_bytes(*target), 0);  // no slot was filled
+  std::remove(path.c_str());
+}
+
 // ---------------- seeded mutation fuzzing ----------------
 
 struct Artifact {

@@ -3,88 +3,80 @@
 #include <gtest/gtest.h>
 
 #include "models/resnet.h"
+#include "plan/comm_sim.h"
 
 namespace pf::dist {
 namespace {
 
+// The alpha-beta ring model the modeled trainer prices every step with:
+// plan::comm_sim on the paper's EC2 links.
+const HardwareProfile kLink = HardwareProfile::cloud_10g();
+
+double allreduce_s(int64_t bytes, int p, int messages = 1) {
+  return plan::collective_seconds(plan::Coll::kAllreduce, bytes, p, kLink,
+                                  messages);
+}
+
+double allgather_s(int64_t bytes, int p) {
+  return plan::collective_seconds(plan::Coll::kAllgather, bytes, p, kLink);
+}
+
 TEST(CostModel, AllreduceScalesWithBytes) {
-  CostModel cm;
-  cm.nodes = 8;
-  EXPECT_LT(cm.allreduce_seconds(1 << 20), cm.allreduce_seconds(16 << 20));
+  EXPECT_LT(allreduce_s(1 << 20, 8), allreduce_s(16 << 20, 8));
 }
 
 TEST(CostModel, LatencyTermScalesWithCalls) {
-  CostModel cm;
-  cm.nodes = 16;
   // Packing 100 layers into 1 call (paper Section 4.1) beats 100 calls.
-  const double packed = cm.allreduce_seconds(25 << 20, 1);
-  const double unpacked = cm.allreduce_seconds(25 << 20, 100);
+  const double packed = allreduce_s(25 << 20, 16, 1);
+  const double unpacked = allreduce_s(25 << 20, 16, 100);
   EXPECT_LT(packed, unpacked);
-  EXPECT_NEAR(unpacked - packed, 99 * 2 * 15 * cm.latency_s, 1e-9);
+  EXPECT_NEAR(unpacked - packed, 99 * 2 * 15 * kLink.alpha_s, 1e-9);
 }
 
 TEST(CostModel, AllgatherGrowsFasterWithNodes) {
   // Same payload: allgather's bandwidth term scales with (p-1), allreduce's
   // saturates at 2 -- the paper's argument for why SIGNUM underperforms.
   const int64_t bytes = 25 << 20;
-  CostModel small;
-  small.nodes = 2;
-  CostModel big;
-  big.nodes = 16;
-  const double ar_ratio =
-      big.allreduce_seconds(bytes) / small.allreduce_seconds(bytes);
-  const double ag_ratio =
-      big.allgather_seconds(bytes) / small.allgather_seconds(bytes);
+  const double ar_ratio = allreduce_s(bytes, 16) / allreduce_s(bytes, 2);
+  const double ag_ratio = allgather_s(bytes, 16) / allgather_s(bytes, 2);
   EXPECT_GT(ag_ratio, ar_ratio);
 }
 
 TEST(CostModel, CompressedAllgatherCanStillLose) {
   // 32x compressed allgather vs dense allreduce at 16 nodes: the (p-1)
   // factor eats much of the compression.
-  CostModel cm;
-  cm.nodes = 16;
   const int64_t dense = 100 << 20;
-  const double t_dense_ar = cm.allreduce_seconds(dense);
-  const double t_sign_ag = cm.allgather_seconds(dense / 32);
+  const double t_dense_ar = allreduce_s(dense, 16);
+  const double t_sign_ag = allgather_s(dense / 32, 16);
   EXPECT_LT(t_sign_ag, t_dense_ar);          // still wins on raw comm...
   EXPECT_GT(t_sign_ag, t_dense_ar / 32.0);   // ...but far less than 32x
 }
 
 TEST(DdpOverlap, BoundedBelowByComputeAndComm) {
-  CostModel cm;
-  cm.nodes = 8;
   const double compute = 1.0;
   const int64_t bytes = 100 << 20;
-  const double t = ddp_epoch_seconds(compute, bytes, cm);
+  const double t = plan::overlap_epoch_seconds(compute, bytes, 8, kLink);
   EXPECT_GE(t, compute);
   // Total is at most compute + full comm (no overlap at all).
-  EXPECT_LE(t, compute + cm.allreduce_seconds(bytes, 4) + 1e-6);
+  EXPECT_LE(t, compute + allreduce_s(bytes, 8, 4) + 1e-6);
 }
 
 TEST(DdpOverlap, SmallGradsFullyHidden) {
-  CostModel cm;
-  cm.nodes = 4;
-  const double t = ddp_epoch_seconds(10.0, 1 << 20, cm);
+  const double t = plan::overlap_epoch_seconds(10.0, 1 << 20, 4, kLink);
   EXPECT_NEAR(t, 10.0, 0.05);
 }
 
 TEST(DdpOverlap, SmallerModelNeverSlower) {
-  CostModel cm;
-  cm.nodes = 16;
-  const double t_big = ddp_epoch_seconds(1.0, 100 << 20, cm);
-  const double t_small = ddp_epoch_seconds(0.7, 60 << 20, cm);
+  const double t_big = plan::overlap_epoch_seconds(1.0, 100 << 20, 16, kLink);
+  const double t_small = plan::overlap_epoch_seconds(0.7, 60 << 20, 16, kLink);
   EXPECT_LT(t_small, t_big);
 }
 
 class NodesP : public ::testing::TestWithParam<int> {};
 
 TEST_P(NodesP, AllreduceTimeIncreasesWithNodes) {
-  CostModel cm;
-  cm.nodes = GetParam();
-  CostModel bigger = cm;
-  bigger.nodes = GetParam() * 2;
-  EXPECT_LT(cm.allreduce_seconds(25 << 20),
-            bigger.allreduce_seconds(25 << 20));
+  EXPECT_LT(allreduce_s(25 << 20, GetParam()),
+            allreduce_s(25 << 20, GetParam() * 2));
 }
 
 INSTANTIATE_TEST_SUITE_P(Sweep, NodesP, ::testing::Values(2, 4, 8));
@@ -132,18 +124,14 @@ TEST(DataParallelTrainer, AllreduceMatchesSingleNodeLargeBatch) {
   cfg.global_batch = 16;
   cfg.lr = 0.05f;
 
-  CostModel cm1;
-  cm1.nodes = 1;
   DataParallelTrainer single(mlp_model(3),
                              std::make_unique<compress::AllreduceReducer>(),
-                             cm1, cfg);
+                             1, cfg);
   auto rec1 = single.train(ds);
 
-  CostModel cm4;
-  cm4.nodes = 4;
   DataParallelTrainer multi(mlp_model(3),
                             std::make_unique<compress::AllreduceReducer>(),
-                            cm4, cfg);
+                            4, cfg);
   auto rec4 = multi.train(ds);
 
   EXPECT_TRUE(allclose(single.model().flat_params(),
@@ -157,10 +145,8 @@ TEST(DataParallelTrainer, TrainsToAboveChance) {
   cfg.epochs = 6;
   cfg.global_batch = 16;
   cfg.lr = 0.05f;
-  CostModel cm;
-  cm.nodes = 4;
   DataParallelTrainer t(tiny_model(5),
-                        std::make_unique<compress::AllreduceReducer>(), cm,
+                        std::make_unique<compress::AllreduceReducer>(), 4,
                         cfg);
   auto recs = t.train(ds);
   EXPECT_GT(recs.back().test_acc, 0.3);  // chance = 0.25
@@ -172,10 +158,8 @@ TEST(DataParallelTrainer, BreakdownIsPopulated) {
   DistTrainConfig cfg;
   cfg.epochs = 1;
   cfg.global_batch = 16;
-  CostModel cm;
-  cm.nodes = 4;
   DataParallelTrainer t(tiny_model(7),
-                        std::make_unique<compress::SignumReducer>(), cm, cfg);
+                        std::make_unique<compress::SignumReducer>(), 4, cfg);
   auto rec = t.train_epoch(ds, 0);
   EXPECT_GT(rec.breakdown.compute_s, 0.0);
   EXPECT_GT(rec.breakdown.comm_s, 0.0);
@@ -195,12 +179,10 @@ TEST(DataParallelTrainer, SmallerModelCommunicatesLess) {
   DistTrainConfig cfg;
   cfg.epochs = 1;
   cfg.global_batch = 16;
-  CostModel cm;
-  cm.nodes = 4;
 
   DataParallelTrainer vanilla(tiny_model(9),
                               std::make_unique<compress::AllreduceReducer>(),
-                              cm, cfg);
+                              4, cfg);
   auto rv = vanilla.train_epoch(ds, 0);
 
   Rng rng(9);
@@ -208,7 +190,7 @@ TEST(DataParallelTrainer, SmallerModelCommunicatesLess) {
   pcfg.width_mult = 0.0625;
   pcfg.num_classes = 4;
   DataParallelTrainer pf(std::make_unique<models::ResNet18Cifar>(pcfg, rng),
-                         std::make_unique<compress::AllreduceReducer>(), cm,
+                         std::make_unique<compress::AllreduceReducer>(), 4,
                          cfg);
   auto rp = pf.train_epoch(ds, 0);
 
@@ -221,16 +203,39 @@ TEST(DataParallelTrainer, ReplaceModelMidRun) {
   DistTrainConfig cfg;
   cfg.epochs = 1;
   cfg.global_batch = 16;
-  CostModel cm;
-  cm.nodes = 2;
   DataParallelTrainer t(tiny_model(11),
-                        std::make_unique<compress::AllreduceReducer>(), cm,
+                        std::make_unique<compress::AllreduceReducer>(), 2,
                         cfg);
   t.train_epoch(ds, 0);
   const double before = t.cumulative_sim_seconds();
   t.replace_model(tiny_model(12), nullptr);
   auto rec = t.train_epoch(ds, 1);
   EXPECT_GT(rec.cumulative_sim_seconds, before);
+}
+
+TEST(DataParallelTrainer, PowerSgdStepPricesTwoMessages) {
+  // PowerSGD sends a P round and a Q round each step: the modeled trainer
+  // prices its total payload as two allreduces of half the bytes each,
+  // i.e. two latency terms plus one bandwidth term over the whole payload.
+  auto ds = tiny_data();
+  DistTrainConfig cfg;
+  cfg.epochs = 1;
+  cfg.global_batch = ds.train_size();  // one step
+  DataParallelTrainer t(tiny_model(13),
+                        std::make_unique<compress::PowerSgdReducer>(2, 3), 4,
+                        cfg);
+  const EpochBreakdown b = t.train_epoch(ds, 0).breakdown;
+  const int64_t payload = b.bytes_per_worker;
+  ASSERT_GT(payload, 0);
+  EXPECT_EQ(b.comm_s,
+            2 * plan::collective_seconds(plan::Coll::kAllreduce, payload / 2,
+                                         4, kLink));
+  // 2 alpha_ar + beta(payload) with alpha_ar = 2 (p-1) alpha and
+  // beta(n) = 2 n (p-1) / p / B, on the paper's 10 Gbps / 50 us links.
+  const double p = 4, alpha = 50e-6, bw = 10e9 / 8;
+  const double expected = 2 * (2 * (p - 1) * alpha) +
+                          2 * static_cast<double>(payload) * (p - 1) / p / bw;
+  EXPECT_NEAR(b.comm_s, expected, 1e-12 * expected);
 }
 
 }  // namespace

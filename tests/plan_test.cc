@@ -6,8 +6,10 @@
 
 #include <gtest/gtest.h>
 
-#include "dist/cost_model.h"
+#include "compress/compressor.h"
+#include "dist/cluster.h"
 #include "dist/ring_sim.h"
+#include "nn/layers.h"
 #include "plan/calibrate.h"
 #include "plan/comm_sim.h"
 #include "plan/frontier.h"
@@ -56,21 +58,40 @@ TEST(PlanCommSim, ClosedFormMatchesRingSimAllgather) {
 }
 
 TEST(PlanCommSim, FlatFormsAreExpressionIdenticalToCostModel) {
-  // Bitwise, not approximate: the planner's flat allreduce/allgather must
-  // BE dist::CostModel's formulas, or rank-ratio-1.0 plans drift from the
-  // DDP predictions bench_fig4_distributed prints.
-  for (int p : {2, 5, 16, 33}) {
-    dist::CostModel cm;
-    cm.nodes = p;
-    for (int64_t bytes : {int64_t{1}, int64_t{12345678}, int64_t{1} << 28}) {
-      EXPECT_EQ(plan::collective_seconds_flat(plan::Coll::kAllreduce, bytes,
-                                              p, cm.latency_s,
-                                              cm.bandwidth_bytes_per_s),
-                cm.allreduce_seconds(bytes));
-      EXPECT_EQ(plan::collective_seconds_flat(plan::Coll::kAllgather, bytes,
-                                              p, cm.latency_s,
-                                              cm.bandwidth_bytes_per_s),
-                cm.allgather_seconds(bytes));
+  // Bitwise, not approximate: the modeled data-parallel trainer prices a
+  // one-message step as exactly one collective_seconds of its payload on
+  // the paper's links, so its comm column and the planner's flat forms are
+  // the same numbers.
+  data::SyntheticImages::Config dc;
+  dc.num_classes = 4;
+  dc.hw = 8;
+  dc.train_size = 20;
+  dc.test_size = 4;
+  dc.augment = false;
+  const data::SyntheticImages ds(dc);
+  dist::DistTrainConfig cfg;
+  cfg.epochs = 1;
+  cfg.global_batch = dc.train_size;  // one step per epoch
+  const dist::HardwareProfile hw = dist::HardwareProfile::cloud_10g();
+  for (int p : {2, 5}) {
+    for (bool sign : {false, true}) {
+      Rng rng(3);
+      auto mlp = std::make_unique<nn::Sequential>();
+      mlp->emplace<nn::Flatten>();
+      mlp->emplace<nn::Linear>(3 * 8 * 8, 4, rng);
+      std::unique_ptr<compress::Reducer> reducer;
+      if (sign)
+        reducer = std::make_unique<compress::SignumReducer>();
+      else
+        reducer = std::make_unique<compress::AllreduceReducer>();
+      dist::DataParallelTrainer t(std::move(mlp), std::move(reducer), p, cfg);
+      const dist::EpochBreakdown b = t.train_epoch(ds, 0).breakdown;
+      ASSERT_GT(b.bytes_per_worker, 0);
+      EXPECT_EQ(b.comm_s,
+                plan::collective_seconds(sign ? plan::Coll::kAllgather
+                                              : plan::Coll::kAllreduce,
+                                         b.bytes_per_worker, p, hw))
+          << "p=" << p << (sign ? " signum" : " allreduce");
     }
   }
 }
@@ -110,25 +131,47 @@ TEST(PlanCommSim, HierarchicalIsBoundedByFlatExtremes) {
 }
 
 TEST(PlanCommSim, OverlapEpochEqualsDdpModelOnFlatProfile) {
-  const dist::HardwareProfile hw = dist::HardwareProfile::cloud_10g();
-  for (int p : {4, 16}) {
-    const dist::CostModel cm = dist::cost_model_from(hw, p);
-    for (int64_t bytes : {int64_t{5} << 20, int64_t{44} << 20}) {
-      for (double compute : {0.05, 1.5}) {
-        EXPECT_EQ(plan::overlap_epoch_seconds(compute, bytes, p, hw),
-                  dist::ddp_epoch_seconds(compute, bytes, cm));
+  // The multi-message rule: `messages` = k prices the step's total bytes as
+  // k collectives of bytes / k each, on flat and two-level profiles alike.
+  for (const dist::HardwareProfile& hw : {dist::HardwareProfile::cloud_10g(),
+                                          dist::HardwareProfile::rdma_100g()}) {
+    for (plan::Coll c : {plan::Coll::kAllreduce, plan::Coll::kAllgather}) {
+      for (int p : {4, 16}) {
+        for (int k : {2, 3, 161}) {
+          for (int64_t bytes : {int64_t{5} << 20, int64_t{44} << 20}) {
+            EXPECT_EQ(plan::collective_seconds(c, bytes, p, hw, k),
+                      k * plan::collective_seconds(c, bytes / k, p, hw))
+                << hw.name << " " << plan::coll_name(c) << " p=" << p
+                << " k=" << k;
+            EXPECT_EQ(plan::collective_seconds_flat(c, bytes, p, hw.alpha_s,
+                                                    hw.bandwidth_bytes_per_s,
+                                                    k),
+                      k * plan::collective_seconds_flat(
+                              c, bytes / k, p, hw.alpha_s,
+                              hw.bandwidth_bytes_per_s));
+          }
+        }
       }
     }
   }
 }
 
-// --- shared hardware constants (satellite 1) --------------------------
+TEST(PlanCommSim, TermsAreRoundedAsWritten) {
+  // Golden per-step prices of the modeled trainer before it moved onto
+  // comm_sim: alpha and beta terms each rounded, then added. A build that
+  // fuses the latency product into the add (FMA contraction) lands one ulp
+  // higher on both (0x1.af45e476f3b89p-11, 0x1.92c434c52606dp-9).
+  const dist::HardwareProfile hw = dist::HardwareProfile::cloud_10g();
+  EXPECT_EQ(plan::collective_seconds(plan::Coll::kAllgather, 6049, 16, hw),
+            0x1.af45e476f3b88p-11);
+  EXPECT_EQ(plan::collective_seconds(plan::Coll::kAllreduce, 1 << 20, 16, hw),
+            0x1.92c434c52606cp-9);
+}
+
+// --- shared hardware constants ----------------------------------------
 
 TEST(PlanHardware, DefaultsShareOneSetOfConstants) {
-  const dist::CostModel cm{};
   const dist::RingLink link{};
-  EXPECT_EQ(cm.latency_s, dist::kDefaultLinkLatencyS);
-  EXPECT_EQ(cm.bandwidth_bytes_per_s, dist::kDefaultLinkBandwidthBytesPerS);
   EXPECT_EQ(link.latency_s, dist::kDefaultLinkLatencyS);
   EXPECT_EQ(link.bandwidth_bytes_per_s,
             dist::kDefaultLinkBandwidthBytesPerS);
@@ -137,10 +180,6 @@ TEST(PlanHardware, DefaultsShareOneSetOfConstants) {
   EXPECT_EQ(hw.alpha_s, dist::kDefaultLinkLatencyS);
   EXPECT_EQ(hw.bandwidth_bytes_per_s, dist::kDefaultLinkBandwidthBytesPerS);
 
-  const dist::CostModel projected = dist::cost_model_from(hw, 7);
-  EXPECT_EQ(projected.nodes, 7);
-  EXPECT_EQ(projected.latency_s, hw.alpha_s);
-  EXPECT_EQ(projected.bandwidth_bytes_per_s, hw.bandwidth_bytes_per_s);
   const dist::RingLink plink = dist::link_from(hw);
   EXPECT_EQ(plink.latency_s, hw.alpha_s);
   EXPECT_EQ(plink.bandwidth_bytes_per_s, hw.bandwidth_bytes_per_s);
@@ -254,7 +293,7 @@ TEST(PlanPlanner, FasterLinksNeverIncreaseModeledTime) {
 
 TEST(PlanPlanner, VanillaDegeneratesToDdpPrediction) {
   // rank ratio 1.0 + plain allreduce + flat profile must reproduce the
-  // bench_fig4_distributed vanilla prediction: steps x ddp_epoch_seconds.
+  // bench_fig4_distributed vanilla prediction: steps x overlap_epoch_seconds.
   const plan::ModelCosts costs =
       plan::describe_model("resnet18", 1.0, 10, 32, 1.0, 0);
   const dist::HardwareProfile hw = dist::HardwareProfile::cloud_10g();
@@ -268,8 +307,7 @@ TEST(PlanPlanner, VanillaDegeneratesToDdpPrediction) {
   const double steps = images / (static_cast<double>(p) * batch);
   const double expected =
       steps *
-      dist::ddp_epoch_seconds(compute, costs.grad_bytes(),
-                              dist::cost_model_from(hw, p), bucket);
+      plan::overlap_epoch_seconds(compute, costs.grad_bytes(), p, hw, bucket);
   EXPECT_NEAR(modeled, expected, 1e-12 * expected);
 }
 

@@ -2,7 +2,7 @@
 
 #include <gtest/gtest.h>
 
-#include "dist/cost_model.h"
+#include "plan/comm_sim.h"
 
 namespace pf::dist {
 namespace {
@@ -20,10 +20,9 @@ TEST(RingSim, AllreduceMatchesClosedForm) {
   // ceil() on the chunk size).
   for (int p : {2, 4, 8, 16}) {
     for (int64_t bytes : {1 << 16, 25 << 20}) {
-      CostModel cm;
-      cm.nodes = p;
       RingSimResult sim = simulate_ring_allreduce(bytes, p, homogeneous());
-      const double closed = cm.allreduce_seconds(bytes, 1);
+      const double closed = plan::collective_seconds(
+          plan::Coll::kAllreduce, bytes, p, HardwareProfile::cloud_10g());
       EXPECT_NEAR(sim.makespan_s, closed, 0.02 * closed + 1e-6)
           << "p=" << p << " bytes=" << bytes;
       EXPECT_EQ(sim.steps, 2 * (p - 1));
@@ -34,10 +33,9 @@ TEST(RingSim, AllreduceMatchesClosedForm) {
 TEST(RingSim, AllgatherMatchesClosedForm) {
   for (int p : {2, 8, 16}) {
     const int64_t bytes = 4 << 20;
-    CostModel cm;
-    cm.nodes = p;
     RingSimResult sim = simulate_ring_allgather(bytes, p, homogeneous());
-    const double closed = cm.allgather_seconds(bytes, 1);
+    const double closed = plan::collective_seconds(
+        plan::Coll::kAllgather, bytes, p, HardwareProfile::cloud_10g());
     EXPECT_NEAR(sim.makespan_s, closed, 0.02 * closed + 1e-6) << "p=" << p;
   }
 }
